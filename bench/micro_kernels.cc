@@ -12,7 +12,7 @@
 #include "phy/ofdm.h"
 #include "linalg/decomp.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "linalg/subspace.h"
 #include "nulling/compression.h"
 #include "nulling/precoder.h"
@@ -319,12 +319,9 @@ BENCHMARK(BM_RxChainSubcarrier_Workspace)->Unit(benchmark::kMicrosecond);
 // The lane-parallel counterparts of the scalar RX chain above. Lanes are
 // data subcarriers; the per-iteration cost includes the SoA gather and the
 // per-lane read-back, so _SimdBatch vs _Workspace is the honest end-to-end
-// speedup of the batched equalizer, not a kernel-only number. The
-// _ForcedScalar twins run the identical batch code path with dispatch
-// pinned to the scalar reference kernels, isolating the vector-ISA gain
-// from the SoA-layout gain.
+// speedup of the batched equalizer, not a kernel-only number.
 
-void rx_chain_simd_batch(benchmark::State& state) {
+void BM_RxChainSubcarrier_SimdBatch(benchmark::State& state) {
   util::Rng rng(13);
   const std::size_t n_rx = 3;
   const std::size_t n = 64;
@@ -376,47 +373,7 @@ void rx_chain_simd_batch(benchmark::State& state) {
   }
 }
 
-void BM_RxChainSubcarrier_SimdBatch(benchmark::State& state) {
-  rx_chain_simd_batch(state);
-}
 BENCHMARK(BM_RxChainSubcarrier_SimdBatch)->Unit(benchmark::kMicrosecond);
-
-void BM_RxChainSubcarrier_SimdForcedScalar(benchmark::State& state) {
-  linalg::simd::set_force_scalar(true);
-  rx_chain_simd_batch(state);
-  linalg::simd::set_force_scalar(false);
-}
-BENCHMARK(BM_RxChainSubcarrier_SimdForcedScalar)
-    ->Unit(benchmark::kMicrosecond);
-
-void simd_matvec_kernel(benchmark::State& state) {
-  // Kernel-only view: one dispatched 2x3 matvec across 48 lanes, no
-  // gather/scatter. Compare against BM_RxChainSubcarrier_Workspace's 48
-  // scalar mul_into calls for the pure kernel speedup.
-  util::Rng rng(14);
-  const std::size_t lanes = 48;
-  linalg::simd::CBatch a(2, 3, lanes);
-  linalg::simd::CBatch x(3, 1, lanes);
-  linalg::simd::CBatch out;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    a.set_lane(l, random_matrix(2, 3, rng));
-    x.set_lane(l, random_matrix(3, 1, rng));
-  }
-  for (auto _ : state) {
-    linalg::simd::matvec(a, x, out);
-    benchmark::DoNotOptimize(out.re()[0]);
-  }
-}
-
-void BM_SimdMatvec2x3x48(benchmark::State& state) { simd_matvec_kernel(state); }
-BENCHMARK(BM_SimdMatvec2x3x48);
-
-void BM_SimdMatvec2x3x48_ForcedScalar(benchmark::State& state) {
-  linalg::simd::set_force_scalar(true);
-  simd_matvec_kernel(state);
-  linalg::simd::set_force_scalar(false);
-}
-BENCHMARK(BM_SimdMatvec2x3x48_ForcedScalar);
 
 void BM_JoinPrecoder(benchmark::State& state) {
   // One subcarrier's nulling+alignment solve for a 3-antenna joiner

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/simd/dispatch.h"
 #include "sim/checkpoint_runner.h"
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
@@ -345,17 +344,10 @@ void json_session(std::string& out, const sim::SessionResult& s,
 constexpr const char* kUsage =
     "CONFIG.cfg [--out FILE] [--trace FILE] [--timing FILE] [--threads N] "
     "[--checkpoint FILE] [--resume FILE] [--checkpoint-every K] "
-    "[--watchdog SECONDS] [--retries N] [--kill-after N] [--force-scalar]";
+    "[--watchdog SECONDS] [--retries N] [--kill-after N]";
 
 int run_bench(int argc, char** argv) {
   util::init_threads_from_cli(argc, argv, /*strict=*/true);
-  // Byte-pin the scalar SIMD kernels (same effect as NPLUS_FORCE_SCALAR=1).
-  // Because every dispatch target is byte-identical, a forced-scalar run
-  // must reproduce the auto-dispatch run's JSON and trace exactly — CI
-  // diffs the two just like the 1/2/4-thread runs.
-  if (util::take_flag(argc, argv, "--force-scalar")) {
-    linalg::simd::set_force_scalar(true);
-  }
   sim::RunnerConfig rcfg;
   if (const auto v = util::take_option(argc, argv, "--checkpoint")) {
     rcfg.checkpoint_path = *v;

@@ -9,15 +9,9 @@ JSON embeds the trace CRC — so one byte-compare pins both the simulated
 metrics and the event stream. On success the first run's outputs are kept
 at --out/--trace for downstream consumers (the perf gate fixture).
 
-With --force-scalar-compare, one extra run is made at the first thread
-count with --force-scalar appended and byte-compared to the reference run.
-That is the SIMD engine's byte-identity contract end to end: auto dispatch
-(AVX2/NEON/portable, whatever the host picks) and the pinned scalar
-kernels must produce the identical results JSON and trace CRC.
-
 Usage:
   check_bench_determinism.py BENCH_BIN CONFIG --out FILE.json
-      [--trace FILE.nptr] [--threads 1 2 4] [--force-scalar-compare]
+      [--trace FILE.nptr] [--threads 1 2 4]
 
 Exit 0 when all runs match; 1 on any divergence or bench failure.
 """
@@ -54,9 +48,6 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--trace", default="")
     ap.add_argument("--threads", type=int, nargs="+", default=[1, 2, 4])
-    ap.add_argument("--force-scalar-compare", action="store_true",
-                    help="also run once with --force-scalar and require "
-                         "byte-identical outputs (SIMD dispatch equivalence)")
     args = ap.parse_args()
 
     runs = []  # (label, json_bytes, trace_bytes)
@@ -71,20 +62,6 @@ def main():
             return 1
         jbytes, tbytes = read_outputs(out, trace)
         runs.append((f"--threads {n}", jbytes, tbytes))
-
-    scalar_suffix = ""
-    if args.force_scalar_compare:
-        scalar_suffix = ".scalar"
-        out = f"{args.out}{scalar_suffix}"
-        trace = f"{args.trace}{scalar_suffix}" if args.trace else ""
-        cmd = [args.bench_bin, args.config, "--out", out, "--threads",
-               str(args.threads[0]), "--force-scalar"]
-        if trace:
-            cmd += ["--trace", trace]
-        if not run_bench(cmd):
-            return 1
-        jbytes, tbytes = read_outputs(out, trace)
-        runs.append(("--force-scalar", jbytes, tbytes))
 
     ok = True
     ref_label, ref_j, ref_t = runs[0]
@@ -107,10 +84,6 @@ def main():
         os.remove(f"{args.out}.t{n}")
         if args.trace:
             os.remove(f"{args.trace}.t{n}")
-    if scalar_suffix:
-        os.remove(f"{args.out}{scalar_suffix}")
-        if args.trace:
-            os.remove(f"{args.trace}{scalar_suffix}")
     variants = "/".join(label for label, _, _ in runs)
     print(f"check_bench_determinism: {os.path.basename(args.config)} "
           f"byte-identical across {variants} "

@@ -98,8 +98,8 @@ RULES = {
         "desc": "no vendor SIMD intrinsics (immintrin/arm_neon headers, "
                 "_mm*/v*q_f64 calls, __m256d/float64x2_t types) outside "
                 "src/linalg/simd/; lane-parallel code must go through the "
-                "linalg::simd dispatch layer so the byte-identity contract "
-                "and the scalar fallback stay enforceable in one place",
+                "linalg::simd batch kernels so the byte-identity contract "
+                "against linalg/mat.cc stays enforceable in one place",
         "scope": ["src/", "bench/", "tests/", "examples/"],
         "allow": ["src/linalg/simd/"],
     },
@@ -495,8 +495,8 @@ def run_rules(rel_path, text):
             findings.append((ln, "no-file-io-library", msg))
     if in_scope("no-raw-intrinsics"):
         for ln, msg in rule_pattern_scan(masked, RAW_INTRINSICS_PATTERNS,
-                                         "use the linalg::simd dispatch "
-                                         "layer"):
+                                         "use the linalg::simd batch "
+                                         "kernels"):
             findings.append((ln, "no-raw-intrinsics", msg))
     if in_scope("suppression-justified"):
         for ln, msg in rule_suppression_justified(masked):

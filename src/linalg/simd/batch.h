@@ -10,11 +10,12 @@
 //
 // The byte-identity contract: a batch kernel must execute, per lane, the
 // exact IEEE-754 op sequence of its scalar reference in linalg/mat.cc —
-// same products, same association, no FMA contraction (the kernel TUs are
-// compiled with -ffp-contract=off), no cross-lane reductions. Lanes are
-// fully independent, so vector add/mul/sub (per-lane IEEE ops) reproduce
-// the scalar path bit for bit; tests/test_simd_kernels.cc enforces this
-// with memcmp over every compiled dispatch target.
+// same products, same association, no FMA contraction (the kernel TU,
+// linalg/simd/kernels.cc, is compiled with -ffp-contract=off), no
+// cross-lane reductions. Lanes are fully independent, so whatever the
+// compiler vectorizes (per-lane IEEE add/mul/sub) reproduces the scalar
+// path bit for bit; tests/test_simd_kernels.cc enforces this with memcmp
+// against the linalg/mat.cc references.
 #pragma once
 
 #include <cassert>

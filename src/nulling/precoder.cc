@@ -4,7 +4,7 @@
 
 #include "linalg/decomp.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "linalg/subspace.h"
 
 namespace nplus::nulling {

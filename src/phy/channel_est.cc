@@ -10,7 +10,7 @@
 #include "dsp/fft.h"
 #include "linalg/decomp.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
 

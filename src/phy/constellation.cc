@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 
 namespace nplus::phy {
 
@@ -19,7 +19,7 @@ namespace {
 constexpr std::size_t kDemapChunk = 96;
 
 // Fills the per-chunk distance table d[w * lanes + l] = |y_l - pts[w]|^2
-// through the dispatched kernel, from thread-local SoA scratch.
+// through the batch kernel, from thread-local SoA scratch.
 void chunk_distances(const std::vector<cdouble>& symbols, std::size_t s0,
                      std::size_t lanes, const std::vector<cdouble>& pts,
                      std::vector<double>& yr, std::vector<double>& yi,

@@ -7,7 +7,7 @@
 #include "dsp/fft.h"
 #include "linalg/decomp.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "linalg/subspace.h"
 #include "phy/ofdm.h"
 

@@ -8,7 +8,7 @@
 
 #include "linalg/decomp.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "linalg/subspace.h"
 #include "nulling/precoder.h"
 #include "phy/esnr.h"

@@ -1,7 +1,7 @@
 // LINT-PATH: src/phy/fixture_raw_intrinsics.cc
-// Raw vendor intrinsics outside src/linalg/simd/ bypass the dispatch layer:
-// the scalar fallback, the --force-scalar override, and the byte-identity
-// harness all only cover kernels that live behind linalg::simd.
+// Raw vendor intrinsics outside src/linalg/simd/ bypass the batch kernels:
+// the byte-identity harness against linalg/mat.cc only covers kernels that
+// live behind linalg::simd.
 #include <immintrin.h>  // EXPECT: no-raw-intrinsics
 #include <arm_neon.h>   // EXPECT: no-raw-intrinsics
 
@@ -21,7 +21,7 @@ void bad_neon(double* a, const double* b) {
 
 void bad_type_only(void* p) {
   // A bare vector type is a finding even without a call: it still pins the
-  // TU to one ISA and dodges the dispatch layer.
+  // TU to one ISA and dodges the batch kernels.
   __m128d* q = static_cast<__m128d*>(p);  // EXPECT: no-raw-intrinsics
   (void)q;
 }

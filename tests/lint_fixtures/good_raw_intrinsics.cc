@@ -1,7 +1,7 @@
 // LINT-PATH: src/phy/fixture_raw_intrinsics_ok.cc
 // Clean twin: idioms that look close to an intrinsic but are fine, plus the
 // suppression escape hatch for a deliberate, justified exception.
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 
 namespace nplus::phy {
 
@@ -14,7 +14,7 @@ double value_f32(double x) { return x; }
 double comm_mm_scale(double x) { return x * 2.0; }
 
 void fine_dispatch(double* re, double* im, unsigned lanes) {
-  // The sanctioned route: batch kernels behind the dispatch layer.
+  // The sanctioned route: the linalg::simd batch kernels.
   (void)re;
   (void)im;
   (void)lanes;

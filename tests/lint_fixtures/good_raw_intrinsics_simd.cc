@@ -1,7 +1,7 @@
 // LINT-PATH: src/linalg/simd/fixture_kernels_ok.cc
-// The dispatch layer's own kernel TUs are the one place raw intrinsics are
-// allowed (directory allowlist): this is where the per-lane byte-identity
-// contract is implemented and differentially tested.
+// The batch-kernel directory is the one place raw intrinsics are allowed
+// (directory allowlist): this is where the per-lane byte-identity contract
+// is implemented and tested.
 #include <immintrin.h>
 #include <arm_neon.h>
 

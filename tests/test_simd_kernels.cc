@@ -1,27 +1,24 @@
-// Differential harness for the SIMD batch engine (src/linalg/simd/).
+// Byte-identity harness for the SIMD batch engine (src/linalg/simd/).
 //
-// The byte-identity contract says: every kernel, on every compiled dispatch
-// target, must produce bit-for-bit the output of the scalar linalg/mat.cc
-// reference on each lane — no FMA, no reassociation, no cross-lane
-// reductions. This suite enforces the contract with randomized sweeps
-// (many seeds, matrix dims 1..4, lane counts from 1 through 52 including
-// every tail-remainder class of the 4-lane AVX2 and 2-lane NEON blocks),
+// The contract says: every batch kernel must produce, on each lane,
+// bit-for-bit the output of its scalar linalg/mat.cc reference — no FMA,
+// no reassociation, no cross-lane reductions. This suite enforces it with
+// randomized sweeps (several seeds, matrix dims 1..4, lane counts from 1
+// through 52 so every remainder of a vectorized lane loop is hit),
 // memcmp-comparing whole output planes. On top of the kernel sweeps it
-// byte-compares the dispatched demappers and a full decode_frame run
-// across targets, and checks the forced-scalar override.
+// checks the chunked demappers against a per-symbol max-log reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <cstring>
+#include <limits>
 #include <vector>
 
-#include "channel/mimo_channel.h"
 #include "linalg/mat.h"
 #include "linalg/simd/batch.h"
-#include "linalg/simd/dispatch.h"
+#include "linalg/simd/kernels.h"
 #include "phy/constellation.h"
-#include "phy/frame.h"
-#include "phy/transceiver.h"
 #include "util/rng.h"
 
 namespace nplus::linalg::simd {
@@ -30,27 +27,11 @@ namespace {
 using linalg::CMat;
 using linalg::CVec;
 
-// Lane counts covering every vector-block remainder: below one AVX2 block,
-// exact blocks, odd tails, and the two production sizes (48 data
-// subcarriers, 52 used subcarriers).
+// Lane counts covering every remainder of a vectorized lane loop: below
+// one vector block, exact blocks, odd tails, and the two production sizes
+// (48 data subcarriers, 52 used subcarriers).
 const std::vector<std::size_t> kLaneSweep = {1, 2, 3, 4, 5, 7, 8, 13, 48, 52};
 const std::vector<std::uint32_t> kSeeds = {1, 2, 3, 7, 1234};
-
-// Every target this binary can actually execute (compiled + CPU support),
-// always including the scalar reference.
-std::vector<Target> runnable_targets() {
-  std::vector<Target> out;
-  for (Target t : compiled_targets()) {
-    if (target_available(t)) out.push_back(t);
-  }
-  return out;
-}
-
-// RAII: pin dispatch to one target for the duration of a check.
-struct TargetPin {
-  explicit TargetPin(Target t) { set_target_override(t); }
-  ~TargetPin() { clear_target_override(); }
-};
 
 void fill_random(CBatch& b, util::Rng& rng) {
   for (std::size_t i = 0; i < b.size(); ++i) {
@@ -62,7 +43,7 @@ void fill_random(CBatch& b, util::Rng& rng) {
 
 // Bitwise plane comparison; reports the first differing element.
 void expect_planes_equal(const CBatch& got, const CBatch& want,
-                         const char* what, Target t) {
+                         const char* what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   const bool re_eq = std::memcmp(got.re(), want.re(),
                                  got.size() * sizeof(double)) == 0;
@@ -71,17 +52,16 @@ void expect_planes_equal(const CBatch& got, const CBatch& want,
   if (re_eq && im_eq) return;
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got.re()[i], want.re()[i])
-        << what << " re[" << i << "] target=" << target_name(t);
+        << what << " re[" << i << "]";
     ASSERT_EQ(got.im()[i], want.im()[i])
-        << what << " im[" << i << "] target=" << target_name(t);
+        << what << " im[" << i << "]";
   }
-  FAIL() << what << ": planes differ in sign-of-zero or NaN payload only, "
-         << "target=" << target_name(t);
+  FAIL() << what << ": planes differ in sign-of-zero or NaN payload only";
 }
 
 // --- Kernel sweeps vs the per-lane mat.cc reference ----------------------
 
-TEST(SimdKernels, MatvecMatchesScalarReferenceOnAllTargets) {
+TEST(SimdKernels, MatvecMatchesScalarReference) {
   for (std::uint32_t seed : kSeeds) {
     for (std::size_t m = 1; m <= 4; ++m) {
       for (std::size_t n = 1; n <= 4; ++n) {
@@ -102,19 +82,16 @@ TEST(SimdKernels, MatvecMatchesScalarReferenceOnAllTargets) {
             want.set_lane(l, ol);
           }
 
-          for (Target t : runnable_targets()) {
-            TargetPin pin(t);
-            CBatch got;
-            matvec(a, x, got);
-            expect_planes_equal(got, want, "matvec", t);
-          }
+          CBatch got;
+          matvec(a, x, got);
+          expect_planes_equal(got, want, "matvec");
         }
       }
     }
   }
 }
 
-TEST(SimdKernels, MatmulMatchesScalarReferenceOnAllTargets) {
+TEST(SimdKernels, MatmulMatchesScalarReference) {
   for (std::uint32_t seed : kSeeds) {
     for (std::size_t m = 1; m <= 4; ++m) {
       for (std::size_t k = 1; k <= 4; ++k) {
@@ -134,12 +111,9 @@ TEST(SimdKernels, MatmulMatchesScalarReferenceOnAllTargets) {
               want.set_lane(l, ol);
             }
 
-            for (Target t : runnable_targets()) {
-              TargetPin pin(t);
-              CBatch got;
-              matmul(a, b, got);
-              expect_planes_equal(got, want, "matmul", t);
-            }
+            CBatch got;
+            matmul(a, b, got);
+            expect_planes_equal(got, want, "matmul");
           }
         }
       }
@@ -147,7 +121,7 @@ TEST(SimdKernels, MatmulMatchesScalarReferenceOnAllTargets) {
   }
 }
 
-TEST(SimdKernels, ScaleMatchesComplexProductOnAllTargets) {
+TEST(SimdKernels, ScaleMatchesComplexProduct) {
   for (std::uint32_t seed : kSeeds) {
     for (std::size_t m = 1; m <= 3; ++m) {
       for (std::size_t lanes : kLaneSweep) {
@@ -173,18 +147,15 @@ TEST(SimdKernels, ScaleMatchesComplexProductOnAllTargets) {
           ASSERT_EQ(prod.imag(), want.im()[i]);
         }
 
-        for (Target t : runnable_targets()) {
-          TargetPin pin(t);
-          CBatch got = v;
-          scale(got, s);
-          expect_planes_equal(got, want, "scale", t);
-        }
+        CBatch got = v;
+        scale(got, s);
+        expect_planes_equal(got, want, "scale");
       }
     }
   }
 }
 
-TEST(SimdKernels, HalfsumMatchesScalarReferenceOnAllTargets) {
+TEST(SimdKernels, HalfsumMatchesScalarReference) {
   for (std::uint32_t seed : kSeeds) {
     for (std::size_t lanes : kLaneSweep) {
       util::Rng rng(seed + lanes);
@@ -200,17 +171,14 @@ TEST(SimdKernels, HalfsumMatchesScalarReferenceOnAllTargets) {
         want.im()[l] = avg.imag();
       }
 
-      for (Target t : runnable_targets()) {
-        TargetPin pin(t);
-        CBatch got;
-        halfsum(a, b, got);
-        expect_planes_equal(got, want, "halfsum", t);
-      }
+      CBatch got;
+      halfsum(a, b, got);
+      expect_planes_equal(got, want, "halfsum");
     }
   }
 }
 
-TEST(SimdKernels, PointDistancesMatchStdNormOnAllTargets) {
+TEST(SimdKernels, PointDistancesMatchStdNorm) {
   for (std::uint32_t seed : kSeeds) {
     for (phy::Modulation m :
          {phy::Modulation::kBpsk, phy::Modulation::kQpsk,
@@ -232,34 +200,32 @@ TEST(SimdKernels, PointDistancesMatchStdNormOnAllTargets) {
           }
         }
 
-        for (Target t : runnable_targets()) {
-          TargetPin pin(t);
-          std::vector<double> got(pts.size() * lanes, -1.0);
-          point_distances(yr.data(), yi.data(), lanes, pts.data(),
-                          pts.size(), got.data());
-          EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                want.size() * sizeof(double)),
-                    0)
-              << "point_distances target=" << target_name(t)
-              << " lanes=" << lanes << " n_pts=" << pts.size();
-        }
+        std::vector<double> got(pts.size() * lanes, -1.0);
+        point_distances(yr.data(), yi.data(), lanes, pts.data(), pts.size(),
+                        got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "point_distances lanes=" << lanes << " n_pts=" << pts.size();
       }
     }
   }
 }
 
-// --- Dispatched consumers: demap across targets --------------------------
+// --- Chunked demap vs a per-symbol max-log reference -------------------
 
 // Symbol counts exercising the demap chunking tails: below one chunk, one
 // short of / exactly / one past the 96-lane chunk, and multi-chunk.
 const std::vector<std::size_t> kDemapSizes = {1, 5, 95, 96, 97, 200};
 
-TEST(SimdDemap, HardAndSoftAreByteIdenticalAcrossTargets) {
+TEST(SimdDemap, HardAndSoftMatchPerSymbolMaxLogReference) {
   for (phy::Modulation m :
        {phy::Modulation::kBpsk, phy::Modulation::kQpsk,
         phy::Modulation::kQam16, phy::Modulation::kQam64}) {
+    const auto& pts = phy::constellation_points(m);
+    const std::size_t bps = phy::bits_per_symbol(m);
     for (std::size_t n_syms : kDemapSizes) {
-      util::Rng rng(40 + n_syms + phy::bits_per_symbol(m));
+      util::Rng rng(40 + n_syms + bps);
       std::vector<cdouble> syms(n_syms);
       std::vector<double> nv(n_syms);
       for (std::size_t i = 0; i < n_syms; ++i) {
@@ -267,112 +233,43 @@ TEST(SimdDemap, HardAndSoftAreByteIdenticalAcrossTargets) {
         nv[i] = 0.01 + 0.5 * std::norm(rng.cgaussian());
       }
 
-      phy::Bits ref_hard;
-      std::vector<double> ref_soft;
-      {
-        TargetPin pin(Target::kScalar);
-        ref_hard = phy::demap_hard(syms, m);
-        ref_soft = phy::demap_soft(syms, nv, m);
+      // Reference: one symbol at a time, distances from std::norm. Hard:
+      // the first nearest point's bits, MSB first. Soft: max-log
+      // LLR_b = (min_{bit=1} d - min_{bit=0} d) / nv.
+      phy::Bits want_hard;
+      std::vector<double> want_soft;
+      for (std::size_t s = 0; s < n_syms; ++s) {
+        std::vector<double> d(pts.size());
+        for (std::size_t w = 0; w < pts.size(); ++w) {
+          d[w] = std::norm(syms[s] - pts[w]);
+        }
+        const std::size_t best = static_cast<std::size_t>(
+            std::min_element(d.begin(), d.end()) - d.begin());
+        for (std::size_t b = bps; b-- > 0;) {
+          want_hard.push_back(static_cast<std::uint8_t>((best >> b) & 1u));
+        }
+        const double nvs = std::max(nv[s], 1e-12);
+        for (std::size_t b = bps; b-- > 0;) {
+          double d0 = std::numeric_limits<double>::infinity();
+          double d1 = std::numeric_limits<double>::infinity();
+          for (std::size_t w = 0; w < pts.size(); ++w) {
+            double& dmin = ((w >> b) & 1u) ? d1 : d0;
+            dmin = std::min(dmin, d[w]);
+          }
+          want_soft.push_back((d1 - d0) / nvs);
+        }
       }
-      for (Target t : runnable_targets()) {
-        TargetPin pin(t);
-        EXPECT_EQ(phy::demap_hard(syms, m), ref_hard)
-            << target_name(t) << " n=" << n_syms;
-        const auto soft = phy::demap_soft(syms, nv, m);
-        ASSERT_EQ(soft.size(), ref_soft.size());
-        EXPECT_EQ(std::memcmp(soft.data(), ref_soft.data(),
-                              soft.size() * sizeof(double)),
-                  0)
-            << target_name(t) << " n=" << n_syms;
-      }
+
+      EXPECT_EQ(phy::demap_hard(syms, m), want_hard)
+          << phy::modulation_name(m) << " n=" << n_syms;
+      const auto soft = phy::demap_soft(syms, nv, m);
+      ASSERT_EQ(soft.size(), want_soft.size());
+      EXPECT_EQ(std::memcmp(soft.data(), want_soft.data(),
+                            soft.size() * sizeof(double)),
+                0)
+          << phy::modulation_name(m) << " n=" << n_syms;
     }
   }
-}
-
-// --- End-to-end: decode_frame across targets -----------------------------
-
-TEST(SimdEndToEnd, DecodeFrameIsByteIdenticalAcrossTargets) {
-  using namespace nplus::phy;
-  const std::size_t n_tx = 3, n_rx = 3, n_streams = 2;
-  util::Rng rng(77);
-  channel::ChannelProfile profile;
-  const channel::MimoChannel ch(n_rx, n_tx, 1.0, profile, rng);
-
-  const Mcs& mcs = mcs_by_index(3);
-  std::vector<std::vector<std::uint8_t>> payloads(n_streams);
-  for (auto& p : payloads) {
-    p.resize(90);
-    for (auto& b : p) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
-  }
-  const TxFrame frame = build_tx_frame_bytes(
-      payloads, mcs, PrecodingPlan::direct(n_tx, n_streams));
-  auto rx = ch.propagate(frame.antennas);
-  const double noise_var = 1e-3;
-  for (auto& ant : rx) {
-    for (auto& v : ant) v += rng.cgaussian(noise_var);
-  }
-
-  const std::vector<std::size_t> sizes(n_streams, 90);
-  const std::vector<std::size_t> wanted = {0, 1};
-
-  std::optional<DecodeResult> ref;
-  {
-    TargetPin pin(Target::kScalar);
-    ref = decode_frame(rx, 0, sizes, mcs, n_streams, wanted,
-                       no_interference(n_rx), noise_var);
-  }
-  for (Target t : runnable_targets()) {
-    TargetPin pin(t);
-    const DecodeResult res = decode_frame(rx, 0, sizes, mcs, n_streams,
-                                          wanted, no_interference(n_rx),
-                                          noise_var);
-    ASSERT_EQ(res.payloads.size(), ref->payloads.size());
-    for (std::size_t i = 0; i < res.payloads.size(); ++i) {
-      EXPECT_EQ(res.payloads[i], ref->payloads[i]) << target_name(t);
-    }
-    ASSERT_EQ(res.subcarrier_snr.size(), ref->subcarrier_snr.size());
-    EXPECT_EQ(std::memcmp(res.subcarrier_snr.data(),
-                          ref->subcarrier_snr.data(),
-                          res.subcarrier_snr.size() * sizeof(double)),
-              0)
-        << target_name(t);
-  }
-}
-
-// --- Dispatch controls ---------------------------------------------------
-
-TEST(SimdDispatch, ForceScalarPinsTheScalarTarget) {
-  clear_target_override();
-  set_force_scalar(true);
-  EXPECT_EQ(active_target(), Target::kScalar);
-  EXPECT_TRUE(force_scalar());
-  set_force_scalar(false);
-  // Without the override, dispatch picks the best runnable target — which
-  // is never worse than portable and never scalar (unless the environment
-  // pins it, in which case this whole binary runs scalar by design).
-  if (!force_scalar()) {
-    EXPECT_NE(active_target(), Target::kScalar);
-  }
-}
-
-TEST(SimdDispatch, OverrideIgnoresUnavailableTargets) {
-  clear_target_override();
-  const Target before = active_target();
-  for (Target t : {Target::kAvx2, Target::kNeon}) {
-    if (!target_available(t)) {
-      set_target_override(t);
-      EXPECT_EQ(active_target(), before) << target_name(t);
-      clear_target_override();
-    }
-  }
-}
-
-TEST(SimdDispatch, CompiledTargetsAlwaysIncludeScalarAndPortable) {
-  const auto ts = compiled_targets();
-  EXPECT_NE(std::find(ts.begin(), ts.end(), Target::kScalar), ts.end());
-  EXPECT_NE(std::find(ts.begin(), ts.end(), Target::kPortable), ts.end());
-  EXPECT_TRUE(target_available(Target::kScalar));
-  EXPECT_TRUE(target_available(Target::kPortable));
 }
 
 }  // namespace
