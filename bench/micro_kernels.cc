@@ -16,6 +16,7 @@
 #include "linalg/subspace.h"
 #include "nulling/compression.h"
 #include "nulling/precoder.h"
+#include "phy/constellation.h"
 #include "phy/conv_code.h"
 #include "phy/frame.h"
 #include "phy/transceiver.h"
@@ -453,6 +454,56 @@ void BM_ViterbiDecode1500B(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViterbiDecode1500B)->Unit(benchmark::kMillisecond);
+
+// One 1500-byte frame (12000 data + 6 tail bits) coded at 64-QAM 3/4 and
+// received at about 20 dB: the symbols and max-log LLRs the full-PHY
+// delivery path demaps and decodes.
+struct Qam64Frame {
+  std::size_t n_data = 0;
+  std::vector<std::complex<double>> symbols;
+  std::vector<double> noise_var;
+  std::vector<double> llr;
+};
+
+const Qam64Frame& qam64_frame() {
+  static const Qam64Frame f = [] {
+    Qam64Frame fr;
+    util::Rng rng(8);
+    phy::Bits data(12000);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(2u));
+    for (int i = 0; i < 6; ++i) data.push_back(0);
+    fr.n_data = data.size();
+    phy::Bits coded = phy::conv_encode(data, phy::CodeRate::kRate3_4);
+    const std::size_t n_coded = coded.size();
+    while (coded.size() % 6 != 0) coded.push_back(0);
+    fr.symbols = phy::map_bits(coded, phy::Modulation::kQam64);
+    fr.noise_var.assign(fr.symbols.size(), 0.01);
+    for (auto& y : fr.symbols) y += rng.cgaussian(0.01);
+    fr.llr = phy::demap_soft(fr.symbols, fr.noise_var, phy::Modulation::kQam64);
+    fr.llr.resize(n_coded);
+    return fr;
+  }();
+  return f;
+}
+
+void BM_ViterbiDecodeSoft1500B(benchmark::State& state) {
+  const Qam64Frame& f = qam64_frame();
+  for (auto _ : state) {
+    auto out = phy::viterbi_decode_soft(f.llr, f.n_data,
+                                        phy::CodeRate::kRate3_4);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_ViterbiDecodeSoft1500B)->Unit(benchmark::kMicrosecond);
+
+void BM_DemapSoftQam64_1500B(benchmark::State& state) {
+  const Qam64Frame& f = qam64_frame();
+  for (auto _ : state) {
+    auto llr = phy::demap_soft(f.symbols, f.noise_var, phy::Modulation::kQam64);
+    benchmark::DoNotOptimize(llr);
+  }
+}
+BENCHMARK(BM_DemapSoftQam64_1500B)->Unit(benchmark::kMicrosecond);
 
 void BM_EncodePayload1500B(benchmark::State& state) {
   util::Rng rng(7);

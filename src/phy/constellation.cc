@@ -11,10 +11,7 @@ namespace nplus::phy {
 
 namespace {
 
-// Symbols demapped per batched point_distances call. The per-lane distance
-// std::norm(y - pts[w]) is computed once per chunk and shared by the
-// per-bit min scans (the scalar code recomputed it per bit; the value is a
-// pure function of (y, w), so reuse cannot change a byte). 96 lanes keeps
+// Symbols hard-demapped per batched point_distances call. 96 lanes keeps
 // the 64-point distance table at 48 KiB per thread.
 constexpr std::size_t kDemapChunk = 96;
 
@@ -33,6 +30,81 @@ void chunk_distances(const std::vector<cdouble>& symbols, std::size_t s0,
   }
   linalg::simd::point_distances(yr.data(), yi.data(), lanes, pts.data(),
                                 pts.size(), dist.data());
+}
+
+// Minima of the squared distance from one coordinate y to the 2^kBits
+// levels of an axis: over all levels, and over the levels whose axis bit p
+// is 0 / 1. std::min keeps the accumulator on a NaN, as a scan over all
+// points does.
+template <std::size_t kBits>
+struct AxisMin {
+  double all;
+  std::array<double, kBits> zero;
+  std::array<double, kBits> one;
+};
+
+template <std::size_t kBits>
+AxisMin<kBits> axis_min(double y, const std::array<double, 8>& lv) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  AxisMin<kBits> r;
+  r.all = kInf;
+  r.zero.fill(kInf);
+  r.one.fill(kInf);
+  for (std::size_t i = 0; i < (std::size_t{1} << kBits); ++i) {
+    const double d = y - lv[i];
+    const double a = d * d;
+    r.all = std::min(r.all, a);
+    for (std::size_t p = 0; p < kBits; ++p) {
+      if ((i >> p) & 1u) {
+        r.one[p] = std::min(r.one[p], a);
+      } else {
+        r.zero[p] = std::min(r.zero[p], a);
+      }
+    }
+  }
+  return r;
+}
+
+// Max-log soft demap over a square grid of 2^kIBits x 2^kQBits points.
+// Word w = (i << kQBits) | j is the point (I[i], Q[j]): the high bits pick
+// the I level, the low bits the Q level (BPSK: one I bit, Q = {0}). So
+// |y - x_w|^2 = A[i] + B[j] with A[i] = (yr - I[i])^2, B[j] = (yi - Q[j])^2,
+// the same operations in the same order as a per-point dr*dr + di*di.
+// Rounding is monotone, so the minimum of fl(A[i] + B[j]) over a bit's half
+// of the grid is exactly fl(min A over its I levels + min B over its Q
+// levels). Squares are never negative, and a NaN coordinate makes its whole
+// axis NaN, which both forms skip, so the identity holds for NaN and +-inf
+// symbols too.
+template <std::size_t kIBits, std::size_t kQBits>
+void demap_soft_axes(const std::vector<cdouble>& symbols,
+                     const std::vector<double>& noise_var,
+                     const std::vector<cdouble>& pts, double* llr) {
+  constexpr std::size_t kBps = kIBits + kQBits;
+  std::array<double, 8> lv_i{};
+  std::array<double, 8> lv_q{};
+  for (std::size_t i = 0; i < (std::size_t{1} << kIBits); ++i) {
+    lv_i[i] = pts[i << kQBits].real();
+  }
+  for (std::size_t j = 0; j < (std::size_t{1} << kQBits); ++j) {
+    lv_q[j] = pts[j].imag();
+  }
+  for (std::size_t s = 0; s < symbols.size(); ++s) {
+    const double nv =
+        noise_var.empty()
+            ? 1.0
+            : std::max(noise_var[std::min(s, noise_var.size() - 1)], 1e-12);
+    const AxisMin<kIBits> mi = axis_min<kIBits>(symbols[s].real(), lv_i);
+    const AxisMin<kQBits> mq = axis_min<kQBits>(symbols[s].imag(), lv_q);
+    // LLR_b = (min_{x: bit=1} |y-x|^2 - min_{x: bit=0} |y-x|^2) / nv, MSB
+    // first as map_bits: the I bits, then the Q bits.
+    double* out = llr + s * kBps;
+    for (std::size_t p = kIBits; p-- > 0;) {
+      *out++ = ((mi.one[p] + mq.all) - (mi.zero[p] + mq.all)) / nv;
+    }
+    for (std::size_t p = kQBits; p-- > 0;) {
+      *out++ = ((mi.all + mq.one[p]) - (mi.all + mq.zero[p])) / nv;
+    }
+  }
 }
 
 // 802.11a Gray mapping on each axis. For 16-QAM the 2-bit-per-axis map is
@@ -185,37 +257,21 @@ Bits demap_hard(const std::vector<cdouble>& symbols, Modulation m) {
 std::vector<double> demap_soft(const std::vector<cdouble>& symbols,
                                const std::vector<double>& noise_var,
                                Modulation m) {
-  const std::size_t bps = bits_per_symbol(m);
+  std::vector<double> llr(symbols.size() * bits_per_symbol(m));
   const auto& pts = constellation_points(m);
-  std::vector<double> llr;
-  llr.reserve(symbols.size() * bps);
-  static thread_local std::vector<double> yr, yi, dist;
-  for (std::size_t s0 = 0; s0 < symbols.size(); s0 += kDemapChunk) {
-    const std::size_t lanes = std::min(kDemapChunk, symbols.size() - s0);
-    chunk_distances(symbols, s0, lanes, pts, yr, yi, dist);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t s = s0 + l;
-      const double nv =
-          noise_var.empty()
-              ? 1.0
-              : std::max(noise_var[std::min(s, noise_var.size() - 1)], 1e-12);
-      // Max-log: LLR_b = (min_{x: bit=1} |y-x|^2 - min_{x: bit=0}
-      // |y-x|^2)/nv, over the chunk's precomputed distance table.
-      for (std::size_t b = 0; b < bps; ++b) {
-        const std::size_t bitpos = bps - 1 - b;  // MSB first, as map_bits
-        double d0 = std::numeric_limits<double>::infinity();
-        double d1 = std::numeric_limits<double>::infinity();
-        for (std::size_t w = 0; w < pts.size(); ++w) {
-          const double d = dist[w * lanes + l];
-          if ((w >> bitpos) & 1u) {
-            d1 = std::min(d1, d);
-          } else {
-            d0 = std::min(d0, d);
-          }
-        }
-        llr.push_back((d1 - d0) / nv);
-      }
-    }
+  switch (m) {
+    case Modulation::kBpsk:
+      demap_soft_axes<1, 0>(symbols, noise_var, pts, llr.data());
+      break;
+    case Modulation::kQpsk:
+      demap_soft_axes<1, 1>(symbols, noise_var, pts, llr.data());
+      break;
+    case Modulation::kQam16:
+      demap_soft_axes<2, 2>(symbols, noise_var, pts, llr.data());
+      break;
+    case Modulation::kQam64:
+      demap_soft_axes<3, 3>(symbols, noise_var, pts, llr.data());
+      break;
   }
   return llr;
 }

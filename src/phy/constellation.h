@@ -32,6 +32,8 @@ Bits demap_hard(const std::vector<cdouble>& symbols, Modulation m);
 // Max-log LLRs given per-symbol noise variance. `noise_var[i]` is the
 // post-equalization noise variance of symbol i (a scalar per symbol because
 // zero-forcing whitens per subcarrier); pass 1.0 for metric-only use.
+// Symbols past the end of `noise_var` reuse its last entry, an empty
+// `noise_var` means 1.0, and every variance is floored at 1e-12.
 std::vector<double> demap_soft(const std::vector<cdouble>& symbols,
                                const std::vector<double>& noise_var,
                                Modulation m);

@@ -3,6 +3,7 @@
 #include <array>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace nplus::phy {
 
@@ -14,7 +15,7 @@ constexpr int kK = 7;
 constexpr int kStates = 1 << (kK - 1);  // 64
 
 // Parity of the lowest 7 bits.
-inline std::uint8_t parity7(unsigned x) {
+constexpr std::uint8_t parity7(unsigned x) {
   x &= 0x7F;
   x ^= x >> 4;
   x ^= x >> 2;
@@ -128,94 +129,98 @@ std::vector<double> depuncture(const std::vector<double>& in, std::size_t n_in,
   return out;
 }
 
-// Flattened 64-state trellis, built once at first decode. Entry s*2+in
-// holds the successor state, the output-pair index (a<<1)|b selecting one
-// of the four per-step branch metrics, and the packed traceback decision.
-// The trellis depends only on the mother code (g0/g1), not on the CodeRate —
-// puncturing is handled entirely by depuncture(), so one table serves every
-// rate.
-struct Trellis {
-  std::array<std::uint8_t, kStates * 2> next;
-  std::array<std::uint8_t, kStates * 2> out_idx;
-  std::array<std::uint8_t, kStates * 2> decision;
-};
-
-const Trellis& trellis() {
-  static const Trellis t = [] {
-    Trellis tr{};
-    for (int s = 0; s < kStates; ++s) {
-      for (int in = 0; in < 2; ++in) {
-        const unsigned reg =
-            (static_cast<unsigned>(in) << 6) | static_cast<unsigned>(s);
-        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
-        tr.next[i] = static_cast<std::uint8_t>(reg >> 1);
-        tr.out_idx[i] = static_cast<std::uint8_t>(
-            (parity7(reg & kG0) << 1) | parity7(reg & kG1));
-        // Record the predecessor state's dropped bit + input bit; the
-        // predecessor is recoverable as ((next << 1) | dropped_bit) & 0x3F.
-        tr.decision[i] = static_cast<std::uint8_t>(((s & 1) << 1) | in);
-      }
-    }
-    return tr;
-  }();
-  return t;
+// Branch-metric selector per butterfly, a compile-time table. The trellis
+// depends only on the mother code (g0/g1), not on the CodeRate: puncturing
+// is handled entirely by depuncture(), so one table serves every rate.
+//
+// Butterfly k joins the predecessor pair 2k, 2k+1 to the successor pair k
+// (input 0) and k+32 (input 1). Both generators tap the input bit (bit 6
+// of the register) and the oldest bit (bit 0, the predecessor's parity), so
+// flipping either one flips both coded bits. The four edges therefore carry
+// only two output pairs, (a, b) and its complement, and the correlation
+// metric of a complement is the exact negation of the original. sel[k] holds
+// the (a << 1) | b output pair of the edge 2k -> k.
+constexpr std::array<std::uint8_t, kStates / 2> butterfly_sel() {
+  std::array<std::uint8_t, kStates / 2> sel{};
+  for (unsigned k = 0; k < kStates / 2; ++k) {
+    const unsigned reg = 2 * k;  // input 0, predecessor state 2k
+    sel[k] = static_cast<std::uint8_t>((parity7(reg & kG0) << 1) |
+                                       parity7(reg & kG1));
+  }
+  return sel;
 }
 
 Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
   // llr_full has 2 entries (A, B) per input bit; llr > 0 favors bit value 0.
   assert(llr_full.size() >= 2 * n_out);
 
-  const Trellis& tr = trellis();
+  static constexpr std::array<std::uint8_t, kStates / 2> sel =
+      butterfly_sel();
 
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> metric(kStates, kNegInf);
+  std::array<double, kStates> buf_a;
+  std::array<double, kStates> buf_b;
+  double* metric = buf_a.data();
+  double* next_metric = buf_b.data();
+  buf_a.fill(kNegInf);
   metric[0] = 0.0;  // encoder starts in state 0
-  std::vector<double> next_metric(kStates);
-  // Survivor table: predecessor-input packed decisions.
-  std::vector<std::uint8_t> decisions(n_out * kStates);
+  // Survivors, one bit per state per step: bit n of step t is set iff state
+  // n was reached from its odd predecessor. Every word is written before it
+  // is read, so the reused buffer needs no clearing.
+  static thread_local std::vector<std::uint64_t> survivors;
+  if (survivors.size() < n_out) survivors.resize(n_out);
 
   for (std::size_t t = 0; t < n_out; ++t) {
     const double la = llr_full[2 * t];
     const double lb = llr_full[2 * t + 1];
-    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1. Only
-    // four (a, b) output pairs exist, so compute all four branch metrics
-    // once per step instead of per transition.
+    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1,
+    // indexed by the (a, b) output pair. bm[p ^ 3] == -bm[p] exactly.
     const std::array<double, 4> bm = {la + lb, la - lb, -la + lb, -la - lb};
-    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
-    std::uint8_t* dec = &decisions[t * kStates];
-    for (int s = 0; s < kStates; ++s) {
-      if (metric[s] == kNegInf) continue;
-      for (int in = 0; in < 2; ++in) {
-        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
-        const double m = metric[s] + bm[tr.out_idx[i]];
-        const int next = tr.next[i];
-        if (m > next_metric[next]) {
-          next_metric[next] = m;
-          dec[next] = tr.decision[i];
-        }
-      }
-    }
-    metric.swap(next_metric);
+    std::uint64_t dec = 0;
+    const auto butterfly = [&]<std::size_t k>() {
+      const double e = metric[2 * k];
+      const double o = metric[2 * k + 1];
+      const double b = bm[sel[k]];
+      // Add-compare-select. `a` is the even candidate unless it is -inf or
+      // NaN; the odd one wins only if strictly greater. So ties go to the
+      // even predecessor, a NaN candidate is never kept, and an unreached
+      // predecessor (metric -inf) never wins.
+      const double a0 = e + b > kNegInf ? e + b : kNegInf;
+      const bool d0 = o - b > a0;
+      next_metric[k] = d0 ? o - b : a0;
+      const double a1 = e - b > kNegInf ? e - b : kNegInf;
+      const bool d1 = o + b > a1;
+      next_metric[k + kStates / 2] = d1 ? o + b : a1;
+      dec |= (static_cast<std::uint64_t>(d0) << k) |
+             (static_cast<std::uint64_t>(d1) << (k + kStates / 2));
+    };
+    // All 32 butterflies, unrolled at compile time so that every sel[k]
+    // and every shift is a constant.
+    [&]<std::size_t... k>(std::index_sequence<k...>) {
+      (butterfly.template operator()<k>(), ...);
+    }(std::make_index_sequence<kStates / 2>{});
+    survivors[t] = dec;
+    std::swap(metric, next_metric);
   }
 
   // Trace back from the best end state (frames are tail-terminated to state
   // 0 by frame.cc, but be robust to untailed use).
-  int state = 0;
+  unsigned state = 0;
   double best = metric[0];
-  for (int s = 1; s < kStates; ++s) {
+  for (unsigned s = 1; s < kStates; ++s) {
     if (metric[s] > best) {
       best = metric[s];
       state = s;
     }
   }
 
+  // The input bit that entered `state` is its top bit; its predecessor
+  // shifts that out and the survivor bit in as the oldest bit.
   Bits out(n_out);
   for (std::size_t t = n_out; t-- > 0;) {
-    const std::uint8_t d = decisions[t * kStates + state];
-    const std::uint8_t in = d & 1u;
-    const std::uint8_t dropped = (d >> 1) & 1u;
-    out[t] = in;
-    state = ((state << 1) | dropped) & (kStates - 1);
+    out[t] = static_cast<std::uint8_t>(state >> (kK - 2));
+    const unsigned odd = static_cast<unsigned>((survivors[t] >> state) & 1u);
+    state = ((state << 1) | odd) & (kStates - 1);
   }
   return out;
 }

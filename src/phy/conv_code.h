@@ -3,6 +3,21 @@
 // rates 2/3 and 3/4. Decoding is Viterbi, supporting both hard-decision
 // (Hamming metric) and soft-decision (LLR correlation metric) inputs;
 // punctured positions contribute zero metric.
+//
+// The decoder runs the 64-state trellis as 32 butterflies per step.
+// Butterfly k reads states 2k and 2k+1 and writes state k (input 0) and
+// state k+32 (input 1). Both generators tap the input bit and the oldest
+// register bit, so the four edges share one branch metric b = +-la +- lb:
+// e+b and o-b into k, e-b and o+b into k+32. Negation is exact in IEEE
+// arithmetic, so these are the same sums a per-edge metric table gives.
+// Each target keeps its even candidate unless that is -inf or NaN, and
+// takes the odd one only if it is strictly greater. This keeps the
+// tie-break (ties go to the lower predecessor) and the non-finite rules
+// (an unreached predecessor never wins, a NaN metric is never kept) of a
+// state-by-state push over the trellis, so decoded bits match it exactly.
+// Survivors are one 64-bit mask per step, bit n set iff state n came from
+// its odd predecessor; traceback reads the input bit as the state's top
+// bit.
 #pragma once
 
 #include <cstdint>

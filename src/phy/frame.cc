@@ -127,15 +127,7 @@ std::optional<std::vector<std::uint8_t>> decode_payload(
   const std::size_t bps = bits_per_symbol(mcs.modulation);
   if (symbols.size() * bps < n_coded) return std::nullopt;
 
-  // Per-bit noise variances follow the per-symbol ones.
-  std::vector<double> nv_bits;
-  nv_bits.reserve(symbols.size());
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    nv_bits.push_back(noise_var.empty()
-                          ? 1.0
-                          : noise_var[std::min(i, noise_var.size() - 1)]);
-  }
-  std::vector<double> llr = demap_soft(symbols, nv_bits, mcs.modulation);
+  std::vector<double> llr = demap_soft(symbols, noise_var, mcs.modulation);
   llr.resize(n_coded);
 
   const std::vector<double> deinter =

@@ -1,9 +1,15 @@
 // Tests for the bit-level PHY: CRC, scrambler, convolutional code +
-// Viterbi (all rates, error correction), interleaver, constellations,
-// MCS tables and effective-SNR rate selection.
+// Viterbi (all rates, error correction, bit-identity with the push-form
+// reference decoder), interleaver, constellations, MCS tables and
+// effective-SNR rate selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "phy/constellation.h"
 #include "phy/conv_code.h"
@@ -137,6 +143,214 @@ INSTANTIATE_TEST_SUITE_P(Rates, ConvCodeSuite,
                          ::testing::Values(CodeRate::kRate1_2,
                                            CodeRate::kRate2_3,
                                            CodeRate::kRate3_4));
+
+// The push-form Viterbi decoder this library shipped before the butterfly
+// rewrite, kept verbatim as the reference the rewrite must match bit for
+// bit. Only the constants it reads and the depuncturing it is fed through
+// are restated around it.
+namespace push_form {
+
+constexpr unsigned kG0 = 0133;
+constexpr unsigned kG1 = 0171;
+constexpr int kStates = 64;
+
+inline std::uint8_t parity7(unsigned x) {
+  x &= 0x7F;
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return static_cast<std::uint8_t>(x & 1u);
+}
+
+struct Puncture {
+  std::vector<bool> pattern;
+  std::size_t in_period;
+};
+
+const Puncture& puncture_for(CodeRate r) {
+  static const Puncture p12{{true, true}, 1};
+  static const Puncture p23{{true, true, true, false}, 2};
+  static const Puncture p34{{true, true, true, false, false, true}, 3};
+  switch (r) {
+    case CodeRate::kRate1_2:
+      return p12;
+    case CodeRate::kRate2_3:
+      return p23;
+    case CodeRate::kRate3_4:
+      return p34;
+  }
+  return p12;
+}
+
+// Depunctures a soft stream (LLRs) back to the full-rate 2*n_out-pair stream,
+// inserting 0 (erasure) at punctured positions.
+std::vector<double> depuncture(const std::vector<double>& in, std::size_t n_in,
+                               CodeRate rate) {
+  const auto& p = puncture_for(rate);
+  std::vector<double> out(2 * n_in, 0.0);
+  std::size_t src = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (p.pattern[i % p.pattern.size()]) {
+      if (src < in.size()) out[i] = in[src++];
+    }
+  }
+  return out;
+}
+
+// Flattened 64-state trellis, built once at first decode. Entry s*2+in
+// holds the successor state, the output-pair index (a<<1)|b selecting one
+// of the four per-step branch metrics, and the packed traceback decision.
+// The trellis depends only on the mother code (g0/g1), not on the CodeRate —
+// puncturing is handled entirely by depuncture(), so one table serves every
+// rate.
+struct Trellis {
+  std::array<std::uint8_t, kStates * 2> next;
+  std::array<std::uint8_t, kStates * 2> out_idx;
+  std::array<std::uint8_t, kStates * 2> decision;
+};
+
+const Trellis& trellis() {
+  static const Trellis t = [] {
+    Trellis tr{};
+    for (int s = 0; s < kStates; ++s) {
+      for (int in = 0; in < 2; ++in) {
+        const unsigned reg =
+            (static_cast<unsigned>(in) << 6) | static_cast<unsigned>(s);
+        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
+        tr.next[i] = static_cast<std::uint8_t>(reg >> 1);
+        tr.out_idx[i] = static_cast<std::uint8_t>(
+            (parity7(reg & kG0) << 1) | parity7(reg & kG1));
+        // Record the predecessor state's dropped bit + input bit; the
+        // predecessor is recoverable as ((next << 1) | dropped_bit) & 0x3F.
+        tr.decision[i] = static_cast<std::uint8_t>(((s & 1) << 1) | in);
+      }
+    }
+    return tr;
+  }();
+  return t;
+}
+
+Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
+  // llr_full has 2 entries (A, B) per input bit; llr > 0 favors bit value 0.
+  assert(llr_full.size() >= 2 * n_out);
+
+  const Trellis& tr = trellis();
+
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> metric(kStates, kNegInf);
+  metric[0] = 0.0;  // encoder starts in state 0
+  std::vector<double> next_metric(kStates);
+  // Survivor table: predecessor-input packed decisions.
+  std::vector<std::uint8_t> decisions(n_out * kStates);
+
+  for (std::size_t t = 0; t < n_out; ++t) {
+    const double la = llr_full[2 * t];
+    const double lb = llr_full[2 * t + 1];
+    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1. Only
+    // four (a, b) output pairs exist, so compute all four branch metrics
+    // once per step instead of per transition.
+    const std::array<double, 4> bm = {la + lb, la - lb, -la + lb, -la - lb};
+    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
+    std::uint8_t* dec = &decisions[t * kStates];
+    for (int s = 0; s < kStates; ++s) {
+      if (metric[s] == kNegInf) continue;
+      for (int in = 0; in < 2; ++in) {
+        const std::size_t i = static_cast<std::size_t>(s * 2 + in);
+        const double m = metric[s] + bm[tr.out_idx[i]];
+        const int next = tr.next[i];
+        if (m > next_metric[next]) {
+          next_metric[next] = m;
+          dec[next] = tr.decision[i];
+        }
+      }
+    }
+    metric.swap(next_metric);
+  }
+
+  // Trace back from the best end state (frames are tail-terminated to state
+  // 0 by frame.cc, but be robust to untailed use).
+  int state = 0;
+  double best = metric[0];
+  for (int s = 1; s < kStates; ++s) {
+    if (metric[s] > best) {
+      best = metric[s];
+      state = s;
+    }
+  }
+
+  Bits out(n_out);
+  for (std::size_t t = n_out; t-- > 0;) {
+    const std::uint8_t d = decisions[t * kStates + state];
+    const std::uint8_t in = d & 1u;
+    const std::uint8_t dropped = (d >> 1) & 1u;
+    out[t] = in;
+    state = ((state << 1) | dropped) & (kStates - 1);
+  }
+  return out;
+}
+
+}  // namespace push_form
+
+// Diff-tests viterbi_decode_soft against the push-form reference over every
+// rate, lengths around the 64-state word boundary and a full 1500-byte
+// frame, and LLR families that stress the add-compare-select: noisy
+// codewords, integer LLRs (many tied metrics), all-zero input, sprinkled
+// +-inf and NaN, and magnitudes near overflow.
+TEST(ViterbiDifferential, MatchesPushFormReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::size_t> lengths = {1, 2, 6, 7, 63, 64, 65, 300, 12006};
+  enum Family { kGaussian, kInteger, kZero, kInfs, kNans, kHuge, kFamilies };
+  util::Rng rng(107);
+  int cases = 0;
+  for (const CodeRate rate :
+       {CodeRate::kRate1_2, CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (const std::size_t n_out : lengths) {
+      const int seeds = n_out > 300 ? 1 : 8;
+      for (int family = 0; family < kFamilies; ++family) {
+        for (int seed = 0; seed < seeds; ++seed) {
+          const Bits coded = conv_encode(random_bits(n_out, rng), rate);
+          std::vector<double> llr(coded.size());
+          for (std::size_t i = 0; i < llr.size(); ++i) {
+            const double tx = coded[i] ? -1.0 : 1.0;
+            const double g = tx + 1.2 * rng.gaussian();
+            switch (family) {
+              case kGaussian:
+                llr[i] = g;
+                break;
+              case kInteger:
+                llr[i] = std::round(2.0 * g);
+                break;
+              case kZero:
+                llr[i] = 0.0;
+                break;
+              case kInfs:
+                llr[i] = rng.uniform_int(8u) == 0 ? (g < 0 ? -kInf : kInf) : g;
+                break;
+              case kNans:
+                llr[i] = rng.uniform_int(16u) == 0
+                             ? std::numeric_limits<double>::quiet_NaN()
+                             : g;
+                break;
+              case kHuge:
+                llr[i] = (g < 0 ? -1e307 : 1e307) *
+                         (1.0 + static_cast<double>(rng.uniform_int(4u)));
+                break;
+            }
+          }
+          const Bits want =
+              push_form::viterbi_core(push_form::depuncture(llr, n_out, rate),
+                                      n_out);
+          ASSERT_EQ(viterbi_decode_soft(llr, n_out, rate), want)
+              << "rate " << code_rate_num(rate) << "/" << code_rate_den(rate)
+              << " n_out " << n_out << " family " << family << " seed "
+              << seed;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 0);
+}
 
 TEST(ConvCode, RateValues) {
   EXPECT_DOUBLE_EQ(code_rate_value(CodeRate::kRate1_2), 0.5);
