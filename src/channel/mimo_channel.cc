@@ -1,10 +1,15 @@
 #include "channel/mimo_channel.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <numbers>
+#include <utility>
 
 #include "dsp/signal.h"
+#include "phy/ofdm_params.h"
 #include "util/units.h"
 
 namespace nplus::channel {
@@ -63,20 +68,55 @@ MimoChannel::MimoChannel(std::size_t n_rx, std::size_t n_tx,
 MimoChannel::MimoChannel(std::vector<std::vector<Samples>> taps)
     : taps_(std::move(taps)) {}
 
-CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
-  const std::size_t bin =
-      k >= 0 ? static_cast<std::size_t>(k)
-             : fft_size - static_cast<std::size_t>(-k);
+namespace {
+
+// e^{-j*2*pi*bin*l/N}: the one expression every twiddle comes from.
+cdouble twiddle(std::size_t bin, std::size_t l, std::size_t fft_size) {
+  const double ang = -2.0 * std::numbers::pi * static_cast<double>(bin) *
+                     static_cast<double>(l) / static_cast<double>(fft_size);
+  return cdouble{std::cos(ang), std::sin(ang)};
+}
+
+}  // namespace
+
+Twiddles::Twiddles(std::size_t fft_size, std::size_t n_taps)
+    : fft_size_(fft_size), n_taps_(n_taps), w_(fft_size * n_taps) {
+  assert(fft_size >= 53);
+  for (std::size_t bin = 0; bin < fft_size; ++bin) {
+    for (std::size_t l = 0; l < n_taps; ++l) {
+      w_[bin * n_taps + l] = twiddle(bin, l, fft_size);
+    }
+  }
+}
+
+const Twiddles& Twiddles::shared(std::size_t fft_size, std::size_t n_taps) {
+  // Worlds are built on every worker thread. std::map nodes never move, so
+  // a returned reference stays valid while other tables are added.
+  static std::mutex mutex;
+  static std::map<std::pair<std::size_t, std::size_t>, Twiddles> tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  const auto key = std::make_pair(fft_size, n_taps);
+  auto it = tables.find(key);
+  if (it == tables.end()) {
+    it = tables.emplace(key, Twiddles(fft_size, n_taps)).first;
+  }
+  return it->second;
+}
+
+const cdouble* Twiddles::row(int k) const {
+  return &w_[phy::subcarrier_bin(k, fft_size_) * n_taps_];
+}
+
+CMat MimoChannel::response_from(const cdouble* twiddle_row,
+                                std::size_t n_twiddles) const {
   CMat h(n_rx(), n_tx());
   for (std::size_t r = 0; r < n_rx(); ++r) {
     for (std::size_t t = 0; t < n_tx(); ++t) {
       cdouble acc{0.0, 0.0};
       const auto& taps = taps_[r][t];
+      assert(taps.size() <= n_twiddles);
       for (std::size_t l = 0; l < taps.size(); ++l) {
-        const double ang = -2.0 * std::numbers::pi *
-                           static_cast<double>(bin) * static_cast<double>(l) /
-                           static_cast<double>(fft_size);
-        acc += taps[l] * cdouble{std::cos(ang), std::sin(ang)};
+        acc += taps[l] * twiddle_row[l];
       }
       h(r, t) = acc;
     }
@@ -84,12 +124,19 @@ CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
   return h;
 }
 
-std::vector<CMat> MimoChannel::freq_responses(std::size_t fft_size) const {
-  std::vector<CMat> out(53);
-  for (int k = -26; k <= 26; ++k) {
-    out[static_cast<std::size_t>(k + 26)] = freq_response(k, fft_size);
+CMat MimoChannel::freq_response(int k, const Twiddles& twiddles) const {
+  return response_from(twiddles.row(k), twiddles.n_taps());
+}
+
+CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
+  std::size_t n_taps = 0;
+  for (const auto& row : taps_) {
+    for (const auto& pair : row) n_taps = std::max(n_taps, pair.size());
   }
-  return out;
+  const std::size_t bin = phy::subcarrier_bin(k, fft_size);
+  Samples w(n_taps);
+  for (std::size_t l = 0; l < n_taps; ++l) w[l] = twiddle(bin, l, fft_size);
+  return response_from(w.data(), n_taps);
 }
 
 std::vector<Samples> MimoChannel::propagate(

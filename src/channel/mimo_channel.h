@@ -36,6 +36,35 @@ struct ChannelProfile {
   double rician_k_db = 6.0;      // LoS K-factor when line_of_sight
 };
 
+// DFT twiddles e^{-j*2*pi*bin*l/N} for every FFT bin of an N-point grid and
+// taps l < n_taps: the kernel freq_response applies to tap l. Each entry
+// comes from the same expression the per-element formula evaluates, so
+// table-driven responses are bit-identical to it. Immutable after
+// construction.
+class Twiddles {
+ public:
+  // Requires fft_size >= 53: a shorter grid cannot hold the 52 used
+  // subcarriers (phy::subcarrier_bin).
+  Twiddles(std::size_t fft_size, std::size_t n_taps);
+
+  // The process-wide table for (fft_size, n_taps), built on the first
+  // request and kept for the life of the process; safe from any thread.
+  // Every sim::World reads its grid's table through this, so building a
+  // world costs no trigonometry.
+  static const Twiddles& shared(std::size_t fft_size, std::size_t n_taps);
+
+  std::size_t fft_size() const { return fft_size_; }
+  std::size_t n_taps() const { return n_taps_; }
+
+  // The n_taps() twiddles of logical OFDM subcarrier k (-26..26, k != 0).
+  const cdouble* row(int k) const;
+
+ private:
+  std::size_t fft_size_;
+  std::size_t n_taps_;
+  std::vector<cdouble> w_;  // [bin * n_taps + l]
+};
+
 class MimoChannel {
  public:
   // Random channel between an M-antenna transmitter and N-antenna receiver
@@ -49,12 +78,12 @@ class MimoChannel {
   std::size_t n_rx() const { return taps_.size(); }
   std::size_t n_tx() const { return taps_.empty() ? 0 : taps_[0].size(); }
 
-  // Frequency response at logical OFDM subcarrier k (-26..26) for an
-  // `fft_size`-point grid: an n_rx x n_tx matrix.
+  // Frequency response at logical OFDM subcarrier k (-26..26, k != 0) for
+  // an `fft_size`-point grid: an n_rx x n_tx matrix.
   CMat freq_response(int k, std::size_t fft_size = 64) const;
-
-  // All 53 logical subcarriers at once (index k+26; DC present but unused).
-  std::vector<CMat> freq_responses(std::size_t fft_size = 64) const;
+  // The same from a precomputed table (no trigonometry); the table must
+  // cover every tap of the channel.
+  CMat freq_response(int k, const Twiddles& twiddles) const;
 
   // Propagates per-tx-antenna sample streams: output[rx] = sum_tx conv(x_tx,
   // taps[rx][tx]). Output length = input length + n_taps - 1.
@@ -95,6 +124,10 @@ class MimoChannel {
   void scale_gain(double factor);
 
  private:
+  // H from one subcarrier's twiddle row (at least as long as every pair's
+  // impulse response).
+  CMat response_from(const cdouble* twiddle_row, std::size_t n_twiddles) const;
+
   std::vector<std::vector<Samples>> taps_;  // [rx][tx][tap]
   // Evolution statistics, filled by the random constructor only.
   std::vector<double> scatter_power_;       // marginal scattered power per tap

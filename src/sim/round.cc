@@ -97,7 +97,11 @@ struct ActiveLink {
   std::vector<std::size_t> cols;       // columns of the group precoder
   int mcs = -1;
   double esnr_db = -100.0;
-  std::vector<CMat> advertised_u;      // per subcarrier, N x (N-n)
+  // Per subcarrier: W = orthogonal_complement(U) of the advertised
+  // unwanted space U (N x dim W), the receiver's interference-free
+  // directions. Computed once when the link advertises; joiners' nulling
+  // rows, the Eq. 7 own rows and every SINR evaluation read it.
+  std::vector<CMat> receive_space;
   std::vector<CMat> g_est;             // receiver's data-preamble estimate
 };
 
@@ -351,10 +355,9 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
     for (std::size_t s = 0; s < kSc; ++s) {
       for (const auto& g : groups_) {
         for (const auto& l : g.links) {
-          const CMat u_perp =
-              linalg::orthogonal_complement(l.advertised_u[s]).hermitian();
           ongoing[s].push_back(nulling::OngoingReceiver{
-              w_.reciprocal_channel(tx, l.rx_node, s), u_perp});
+              w_.reciprocal_channel(tx, l.rx_node, s),
+              l.receive_space[s].hermitian()});
         }
       }
     }
@@ -384,7 +387,7 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
   // the latter will be routed away by the Eq. 7 precoder, so they count as
   // interference, not as wanted directions, when choosing the space.
   for (auto& l : links) {
-    l.advertised_u.resize(kSc);
+    l.receive_space.resize(kSc);
     const std::vector<CMat> g_rts_all = batched_effective(
         w_, tx, l.rx_node, v_rts, cdouble{grp.stream_amp, 0.0});
     for (std::size_t s = 0; s < kSc; ++s) {
@@ -397,8 +400,8 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
           g_own = g_own.hstack(col);
         }
       }
-      l.advertised_u[s] =
-          advertised_unwanted_space(g_own, f_est, l.n_streams);
+      l.receive_space[s] = linalg::orthogonal_complement(
+          advertised_unwanted_space(g_own, f_est, l.n_streams));
     }
   }
 
@@ -409,10 +412,9 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
     for (std::size_t s = 0; s < kSc; ++s) {
       std::vector<nulling::OwnReceiver> own;
       for (const auto& l : links) {
-        const CMat u_perp =
-            linalg::orthogonal_complement(l.advertised_u[s]).hermitian();
         own.push_back(nulling::OwnReceiver{
-            w_.reciprocal_channel(tx, l.rx_node, s), u_perp, l.cols});
+            w_.reciprocal_channel(tx, l.rx_node, s),
+            l.receive_space[s].hermitian(), l.cols});
       }
       const auto pre =
           nulling::compute_multi_rx_precoder(m_ant, ongoing[s], own);
@@ -453,7 +455,7 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
         }
       }
       obs.interference_true = f;
-      obs.unwanted_basis = l.advertised_u[s];
+      obs.receive_space = l.receive_space[s];
       obs.noise_power = w_.noise_power();
       const std::vector<double> sinr = zf_stream_sinr(obs);
       sinrs.insert(sinrs.end(), sinr.begin(), sinr.end());
@@ -573,7 +575,7 @@ void RoundBuilder::finalize(RoundResult& result) {
           }
         }
         obs.interference_true = f;
-        obs.unwanted_basis = l.advertised_u[s];
+        obs.receive_space = l.receive_space[s];
         obs.noise_power = w_.noise_power();
         if (stream_models.empty()) {
           const std::vector<double> sinr = zf_stream_sinr(obs);
@@ -844,10 +846,11 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
       obs.g_est = world.estimate(obs.g_true);
       obs.interference_true = f;
       if (f.cols() > 0) {
-        obs.unwanted_basis = advertised_unwanted_space(
-            obs.g_est, world.estimate(f), dest.n_streams);
+        obs.receive_space = linalg::orthogonal_complement(
+            advertised_unwanted_space(obs.g_est, world.estimate(f),
+                                      dest.n_streams));
       } else {
-        obs.unwanted_basis = CMat(eff.rows(), 0);
+        obs.receive_space = CMat::identity(eff.rows());  // nothing to reject
       }
       obs.noise_power = world.noise_power();
       if (stream_models.empty()) {

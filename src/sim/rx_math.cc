@@ -49,8 +49,7 @@ std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
   const std::size_t n = obs.g_true.cols();
   std::vector<StreamRxModel> models(n);
 
-  // Interference-free receive directions.
-  const CMat w = linalg::orthogonal_complement(obs.unwanted_basis);
+  const CMat& w = obs.receive_space;
   if (w.cols() < n) return models;
 
   // MMSE-regularized inversion of the estimated effective channel inside
@@ -104,7 +103,7 @@ std::vector<double> zf_stream_sinr(const RxObservation& obs) {
   const std::size_t n = obs.g_true.cols();
   std::vector<double> sinr(n, 0.0);
 
-  const CMat w = linalg::orthogonal_complement(obs.unwanted_basis);
+  const CMat& w = obs.receive_space;
   if (w.cols() < n) return sinr;
 
   const CMat a = w.hermitian() * obs.g_est;  // d x n (estimated)

@@ -39,14 +39,17 @@ struct RxObservation {
   // unwanted space to reject them, so imperfect alignment/nulling leaks
   // through here. Residual error becomes measurable SINR loss.
   CMat interference_true;
-  CMat unwanted_basis;  // advertised U (N x (N-n)), orthonormal
+  // Interference-free receive directions W = orthogonal_complement(U) of
+  // the advertised unwanted space U (N x (N - dim U), orthonormal). The
+  // round builder computes it once per advertising link and subcarrier.
+  CMat receive_space;
   double noise_power = 0.0;
 };
 
 // Post-projection zero-forcing SINR of each wanted stream: the receiver
-// projects onto the complement of `unwanted_basis`, inverts the estimated
-// effective channel, and eats whatever self-distortion, residual
-// interference, and enhanced noise remain.
+// projects onto `receive_space`, inverts the estimated effective channel,
+// and eats whatever self-distortion, residual interference, and enhanced
+// noise remain.
 std::vector<double> zf_stream_sinr(const RxObservation& obs);
 
 // One phy::StreamRxModel per wanted stream — the post-combining symbol

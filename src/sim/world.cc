@@ -23,22 +23,11 @@ bool pair_active(const std::vector<std::uint8_t>& roles, std::size_t a,
          ((roles[b] & kRoleTx) && (roles[a] & kRoleRx));
 }
 
-}  // namespace
-
-World::World(const channel::Testbed& testbed,
-             const std::vector<NodeSpec>& nodes,
-             const std::vector<std::size_t>& locations, util::Rng& rng,
-             const WorldConfig& config,
-             const std::vector<std::uint8_t>& roles)
-    : nodes_(nodes),
-      config_(config),
-      noise_power_(testbed.noise_power_linear()),
-      rng_(rng.fork(0x77)),
-      testbed_(testbed),
-      locations_(locations),
-      roles_(roles) {
-  // Config sanity: a NaN calibration error or a zero FFT would not crash
-  // here — it would silently poison every eSNR downstream. Reject loudly.
+// Config sanity: a NaN calibration error or a zero FFT would not crash
+// here — it would silently poison every eSNR downstream. Reject loudly,
+// before anything (the twiddle table included) is built from the config.
+const WorldConfig& checked(const WorldConfig& config,
+                           const std::vector<NodeSpec>& nodes) {
   if (nodes.empty()) {
     throw std::invalid_argument("World: zero-node world (empty NodeSpec"
                                 " list); nothing to simulate");
@@ -55,16 +44,55 @@ World::World(const channel::Testbed& testbed,
         "World: estimation_noise_scale must be finite and >= 0, got " +
         std::to_string(config.estimation_noise_scale));
   }
-  if (config.fft_size == 0 ||
+  // Below 64 bins the 52 used subcarriers no longer fit the grid: at 32
+  // they alias, at 16 the negative-k bins (fft_size - |k|) wrap around.
+  if (config.fft_size < 64 ||
       (config.fft_size & (config.fft_size - 1)) != 0) {
     throw std::invalid_argument(
-        "World: fft_size must be a nonzero power of two, got " +
+        "World: fft_size must be a power of two >= 64, got " +
         std::to_string(config.fft_size));
   }
+  return config;
+}
+
+// Link SNR from realized fading: mean channel entry power over every
+// subcarrier, divided by noise (the eager convention).
+double fading_snr_db(const std::vector<CMat>& h, double noise_power) {
+  double p = 0.0;
+  std::size_t cnt = 0;
+  for (const CMat& hs : h) {
+    for (std::size_t r = 0; r < hs.rows(); ++r) {
+      for (std::size_t c = 0; c < hs.cols(); ++c) {
+        p += std::norm(hs(r, c));
+        ++cnt;
+      }
+    }
+  }
+  return util::to_db(std::max(p / static_cast<double>(cnt), 1e-30) /
+                     noise_power);
+}
+
+}  // namespace
+
+World::World(const channel::Testbed& testbed,
+             const std::vector<NodeSpec>& nodes,
+             const std::vector<std::size_t>& locations, util::Rng& rng,
+             const WorldConfig& config,
+             const std::vector<std::uint8_t>& roles)
+    : nodes_(nodes),
+      config_(checked(config, nodes)),
+      // Every channel a World draws comes from Testbed::make_channel, i.e.
+      // the default profile's tap count.
+      twiddles_(&channel::Twiddles::shared(config_.fft_size,
+                                           channel::ChannelProfile{}.n_taps)),
+      noise_power_(testbed.noise_power_linear()),
+      rng_(rng.fork(0x77)),
+      testbed_(testbed),
+      locations_(locations),
+      roles_(roles) {
   assert(nodes.size() == locations.size());
   assert(roles.empty() || roles.size() == nodes.size());
   const std::size_t n = nodes.size();
-  static const auto data_sc = phy::data_subcarriers();
 
   if (config_.lazy_channels) {
     // Nothing is drawn up front: reserve a fork base whose children are
@@ -100,31 +128,12 @@ World::World(const channel::Testbed& testbed,
           locations[a], locations[b], nodes[a].n_antennas,
           nodes[b].n_antennas, rng);
 
-      channels_[a][b].resize(kSubcarriers);
-      channels_[b][a].resize(kSubcarriers);
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        const CMat h = fwd.freq_response(data_sc[s], config.fft_size);
-        channels_[a][b][s] = h;                 // a -> b: N_b x M_a
-        channels_[b][a][s] = h.transpose();     // b -> a: reciprocity
-      }
+      fill_pair(fwd, channels_[a][b], channels_[b][a]);
       pair_taps_.emplace(static_cast<std::uint64_t>(a) * n + b,
                          std::move(fwd));
 
       // Pre-cancellation link SNR (mean channel entry power / noise).
-      double p = 0.0;
-      std::size_t cnt = 0;
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        const CMat& h = channels_[a][b][s];
-        for (std::size_t r = 0; r < h.rows(); ++r) {
-          for (std::size_t c = 0; c < h.cols(); ++c) {
-            p += std::norm(h(r, c));
-            ++cnt;
-          }
-        }
-      }
-      const double snr =
-          util::to_db(std::max(p / static_cast<double>(cnt), 1e-30) /
-                      noise_power_);
+      const double snr = fading_snr_db(channels_[a][b], noise_power_);
       link_snr_db_[a][b] = snr;
       link_snr_db_[b][a] = snr;
     }
@@ -155,6 +164,18 @@ World::World(const channel::Testbed& testbed,
       recip_[a][b] = derive_beliefs(channels_[b][a], cal, rng_);
       cal_.emplace(static_cast<std::uint64_t>(a) * n + b, std::move(cal));
     }
+  }
+}
+
+void World::fill_pair(const channel::MimoChannel& ch, std::vector<CMat>& fwd,
+                      std::vector<CMat>& rev) const {
+  static const auto data_sc = phy::data_subcarriers();
+  fwd.resize(kSubcarriers);
+  rev.resize(kSubcarriers);
+  for (std::size_t s = 0; s < kSubcarriers; ++s) {
+    const CMat h = ch.freq_response(data_sc[s], *twiddles_);
+    fwd[s] = h;                // lo -> hi: N_hi x M_lo
+    rev[s] = h.transpose();    // hi -> lo: reciprocity
   }
 }
 
@@ -212,7 +233,6 @@ const std::vector<CMat>& World::lazy_channel(std::size_t a,
   const std::uint64_t key = static_cast<std::uint64_t>(lo) * n + hi;
   auto it = lazy_pairs_.find(key);
   if (it == lazy_pairs_.end()) {
-    static const auto data_sc = phy::data_subcarriers();
     // Copy-then-fork: lazy_base_ itself never advances, so the child
     // stream depends only on the pair label, never on access order.
     util::Rng base = lazy_base_.duplicate();
@@ -243,15 +263,14 @@ const std::vector<CMat>& World::lazy_channel(std::size_t a,
       fwd.scale_gain(util::from_db(-dyn.shadow_offset_db()));
     }
     LazyPair entry;
-    entry.fwd.resize(kSubcarriers);
-    entry.rev.resize(kSubcarriers);
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      const CMat h = fwd.freq_response(data_sc[s], config_.fft_size);
-      entry.fwd[s] = h;
-      entry.rev[s] = h.transpose();
-    }
+    fill_pair(fwd, entry.fwd, entry.rev);
     entry.taps = std::move(fwd);
     it = lazy_pairs_.emplace(key, std::move(entry)).first;
+  } else if (it->second.stale) {
+    // advance() moved the taps since the matrices were last derived.
+    LazyPair& entry = it->second;
+    fill_pair(entry.taps, entry.fwd, entry.rev);
+    entry.stale = false;
   }
   return a < b ? it->second.fwd : it->second.rev;
 }
@@ -350,35 +369,10 @@ void World::rematerialize_pair(std::uint64_t key,
   const std::size_t n = nodes_.size();
   const std::size_t lo = static_cast<std::size_t>(key / n);
   const std::size_t hi = static_cast<std::size_t>(key % n);
-  static const auto data_sc = phy::data_subcarriers();
-
-  if (config_.lazy_channels) {
-    LazyPair& entry = lazy_pairs_[key];
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      const CMat h = ch.freq_response(data_sc[s], config_.fft_size);
-      entry.fwd[s] = h;
-      entry.rev[s] = h.transpose();
-    }
-    return;
-  }
-
-  double p = 0.0;
-  std::size_t cnt = 0;
-  for (std::size_t s = 0; s < kSubcarriers; ++s) {
-    const CMat h = ch.freq_response(data_sc[s], config_.fft_size);
-    channels_[lo][hi][s] = h;
-    channels_[hi][lo][s] = h.transpose();
-    for (std::size_t r = 0; r < h.rows(); ++r) {
-      for (std::size_t c = 0; c < h.cols(); ++c) {
-        p += std::norm(h(r, c));
-        ++cnt;
-      }
-    }
-  }
+  fill_pair(ch, channels_[lo][hi], channels_[hi][lo]);
   // Eager convention: link SNR averages the realized fading (as in the
   // constructor), so it tracks the evolved channel, not just the budget.
-  const double snr = util::to_db(
-      std::max(p / static_cast<double>(cnt), 1e-30) / noise_power_);
+  const double snr = fading_snr_db(channels_[lo][hi], noise_power_);
   link_snr_db_[lo][hi] = snr;
   link_snr_db_[hi][lo] = snr;
 }
@@ -448,9 +442,13 @@ void World::advance(const std::vector<channel::Location>& positions,
     const double rho_d = channel::doppler_rho(fd, dt_s);
 
     channel::MimoChannel* ch = nullptr;
+    LazyPair* lazy = nullptr;
     if (config_.lazy_channels) {
       auto it = lazy_pairs_.find(key);
-      if (it != lazy_pairs_.end()) ch = &it->second.taps;
+      if (it != lazy_pairs_.end()) {
+        lazy = &it->second;
+        ch = &lazy->taps;
+      }
     } else {
       auto it = pair_taps_.find(key);
       if (it != pair_taps_.end()) ch = &it->second;
@@ -466,7 +464,16 @@ void World::advance(const std::vector<channel::Location>& positions,
       ch->scale_gain(util::from_db(gain_delta_db));
       changed = true;
     }
-    if (changed) rematerialize_pair(key, *ch);
+    // The draws above happen now, in key order. A lazy pair's matrices are
+    // re-derived from the moved taps only when something reads them; most
+    // pairs move several times between reads.
+    if (changed) {
+      if (lazy != nullptr) {
+        lazy->stale = true;
+      } else {
+        rematerialize_pair(key, *ch);
+      }
+    }
 
     // Lazy link SNRs are budget numbers: shift them by the large-scale
     // delta (fading evolution leaves the budget untouched). Covers both

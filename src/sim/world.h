@@ -52,6 +52,7 @@ struct WorldConfig {
   // Scale on the additive estimation noise (1 = physical LS noise; 0
   // disables estimation error for idealized studies).
   double estimation_noise_scale = 1.0;
+  // A power of two >= 64 (the 52 used subcarriers must fit the grid).
   std::size_t fft_size = 64;
   // Lazy mode: draw nothing up front; materialize each pair's channels,
   // reciprocity beliefs, and link SNR on first access. Every pair draws
@@ -142,7 +143,12 @@ class World {
   //    rho = J0(2*pi*f_d*dt), f_d from the endpoints' realized speeds plus
   //    the config's environmental Doppler floor
   // and re-materializes the pair's per-subcarrier matrices and link SNR.
-  // Reciprocity beliefs are NOT refreshed (CSI measured in round t stays
+  // Every draw happens here, in key order. Eager pairs re-derive their
+  // matrices here too (their link SNR averages the realized fading); a
+  // lazy pair is only marked stale and re-derives its matrices from the
+  // current taps on its next read (channel, refresh_csi, a first belief),
+  // which yields the same bytes as re-deriving now. Reciprocity beliefs
+  // are NOT refreshed (CSI measured in round t stays
   // pinned until refresh_csi, so it is stale by round t+k). Lazy pairs not
   // yet touched materialize later at the then-current geometry, with the
   // pair's accumulated shadowing offset applied, preserving the SNR/channel
@@ -171,6 +177,12 @@ class World {
   const std::vector<CMat>& lazy_recip(std::size_t a, std::size_t b) const;
   double lazy_link_snr_db(std::size_t a, std::size_t b) const;
 
+  // Fills fwd[s] = H_s (lo -> hi) and rev[s] = H_s^T (hi -> lo) for every
+  // data subcarrier from a pair's taps: the one place channel matrices are
+  // derived (eager build, lazy materialization, stale re-derivation, eager
+  // advance).
+  void fill_pair(const channel::MimoChannel& ch, std::vector<CMat>& fwd,
+                 std::vector<CMat>& rev) const;
   // Estimation noise from an explicit stream (refresh_csi / belief
   // derivation); estimate() keeps using the world's own stream.
   CMat estimate_with(const CMat& true_channel, util::Rng& rng) const;
@@ -178,12 +190,15 @@ class World {
   // matrix: shared by the lazy materialization path and refresh_csi.
   std::vector<CMat> derive_beliefs(const std::vector<CMat>& rev_chan,
                                    const CMat& cal, util::Rng& rng) const;
-  // Re-derives per-subcarrier matrices (and, eager mode, link SNR) for a
-  // pair whose taps changed under advance().
+  // Re-derives an eager pair's per-subcarrier matrices and link SNR after
+  // advance() changed its taps.
   void rematerialize_pair(std::uint64_t key, const channel::MimoChannel& ch);
 
   std::vector<NodeSpec> nodes_;
   WorldConfig config_;
+  // The shared table for config_.fft_size: freq_response without
+  // trigonometry.
+  const channel::Twiddles* twiddles_;
   double noise_power_;
   mutable util::Rng rng_;
   // channels_[a][b][sc]: true channel a -> b.
@@ -231,6 +246,7 @@ class World {
     channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
     std::vector<CMat> fwd;  // lo -> hi, per subcarrier
     std::vector<CMat> rev;  // hi -> lo (transpose: reciprocity)
+    bool stale = false;     // taps moved since fwd/rev were derived
   };
   util::Rng lazy_base_{0, 0};  // copied, never advanced, per fork
   mutable std::map<std::uint64_t, LazyPair> lazy_pairs_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numbers>
 
 #include "channel/mimo_channel.h"
 #include "channel/pathloss.h"
@@ -131,6 +133,69 @@ TEST(MimoChannel, FreqResponseMatchesTapDft) {
     }
     EXPECT_NEAR(std::abs(ch.freq_response(k)(0, 0) - expected), 0.0, 1e-12);
   }
+}
+
+// The per-element formula freq_response evaluated before it read a
+// twiddle table: one cos/sin pair per (rx, tx, tap), kept here as the
+// reference the table must reproduce bit for bit.
+CMat reference_response(const MimoChannel& ch, int k, std::size_t fft_size) {
+  const std::size_t bin = k >= 0 ? static_cast<std::size_t>(k)
+                                 : fft_size - static_cast<std::size_t>(-k);
+  CMat h(ch.n_rx(), ch.n_tx());
+  for (std::size_t r = 0; r < ch.n_rx(); ++r) {
+    for (std::size_t t = 0; t < ch.n_tx(); ++t) {
+      linalg::cdouble acc{0.0, 0.0};
+      const auto& taps = ch.taps()[r][t];
+      for (std::size_t l = 0; l < taps.size(); ++l) {
+        const double ang = -2.0 * std::numbers::pi *
+                           static_cast<double>(bin) * static_cast<double>(l) /
+                           static_cast<double>(fft_size);
+        acc += taps[l] * linalg::cdouble{std::cos(ang), std::sin(ang)};
+      }
+      h(r, t) = acc;
+    }
+  }
+  return h;
+}
+
+bool same_bytes(const CMat& x, const CMat& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     x.rows() * x.cols() * sizeof(linalg::cdouble)) == 0;
+}
+
+TEST(MimoChannel, TwiddleTableMatchesPerElementFormulaBitForBit) {
+  util::Rng rng(12);
+  std::size_t checked = 0;
+  for (std::size_t fft_size : {64u, 128u, 256u}) {
+    for (std::size_t n_taps : {1u, 3u, 8u}) {
+      const Twiddles& table = Twiddles::shared(fft_size, n_taps);
+      for (bool los : {false, true}) {
+        ChannelProfile profile;
+        profile.n_taps = n_taps;
+        profile.line_of_sight = los;
+        MimoChannel ch(3, 2, 0.7, profile, rng);
+        // Fresh, evolved, and rescaled taps: every state World reads.
+        for (int state = 0; state < 3; ++state) {
+          if (state == 1) ch.evolve(0.6, rng);
+          if (state == 2) ch.scale_gain(0.3);
+          // Every data and pilot subcarrier (DC excluded).
+          for (int k = -26; k <= 26; ++k) {
+            if (k == 0) continue;
+            const CMat want = reference_response(ch, k, fft_size);
+            EXPECT_TRUE(same_bytes(ch.freq_response(k, table), want))
+                << "fft " << fft_size << " taps " << n_taps << " los "
+                << los << " state " << state << " k " << k;
+            EXPECT_TRUE(same_bytes(ch.freq_response(k, fft_size), want))
+                << "fft " << fft_size << " taps " << n_taps << " los "
+                << los << " state " << state << " k " << k;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3u * 3u * 2u * 3u * 52u);
 }
 
 TEST(MimoChannel, AdjacentSubcarriersCorrelated) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "channel/evolution.h"
@@ -376,6 +377,90 @@ TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
   (void)c.world.channel(4, 5, 0);
   c.world.advance(moved, speeds, 2.0, evo, dc);
   EXPECT_NEAR(c.world.link_snr_db(4, 5), a.world.link_snr_db(4, 5), 1e-9);
+}
+
+bool same_bytes(const CMat& x, const CMat& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     x.rows() * x.cols() * sizeof(linalg::cdouble)) == 0;
+}
+
+TEST(WorldDynamics, LazyPairsRederiveOnReadByteIdentically) {
+  // advance() only marks a moved lazy pair stale; its matrices are
+  // re-derived from the current taps when next read. World a reads every
+  // pair after every step (re-deriving each time), world b reads nothing
+  // until the end. Both refresh the same beliefs at the same steps, which
+  // reads the moved reverse channel mid-run. Everything must agree byte for
+  // byte, and advance must have drawn the same stream in both.
+  //
+  // Both worlds touch the same pairs before the first step: a first read
+  // creates the pair's dynamics entry, which changes what advance draws.
+  WorldFixture a(31, /*lazy=*/true), b(31, /*lazy=*/true);
+  const std::vector<std::size_t> txs = {0, 2, 4};
+  const std::vector<std::size_t> rxs = {1, 3, 5};
+  for (WorldFixture* f : {&a, &b}) {
+    for (std::size_t t : txs) {
+      for (std::size_t r : rxs) {
+        (void)f->world.channel(t, r, 0);
+        (void)f->world.reciprocal_channel(t, r, 0);
+        (void)f->world.link_snr_db(t, r);
+      }
+    }
+  }
+  const auto read_all = [&](const sim::World& w) {
+    for (std::size_t t : txs) {
+      for (std::size_t r : rxs) {
+        for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+          (void)w.channel(t, r, s);
+          (void)w.channel(r, t, s);
+        }
+      }
+    }
+  };
+
+  channel::EvolutionConfig evo;
+  evo.env_doppler_hz = 5.0;
+  std::vector<double> speeds(a.speeds.size(), 1.2);
+  auto moved = a.positions;
+  util::Rng da(17), db(17), ra(23), rb(23);
+  for (int step = 0; step < 12; ++step) {
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+      moved[i].x_m += 0.02 * static_cast<double>(i + 1);
+      moved[i].y_m += (step % 2 == 0 ? 0.015 : -0.01);
+    }
+    a.world.advance(moved, speeds, 0.02, evo, da);
+    b.world.advance(moved, speeds, 0.02, evo, db);
+    read_all(a.world);
+    if (step % 3 == 1) {
+      a.world.refresh_csi(0, 1, ra);
+      b.world.refresh_csi(0, 1, rb);
+      a.world.refresh_csi(4, 3, ra);
+      b.world.refresh_csi(4, 3, rb);
+    }
+  }
+
+  for (std::size_t t : txs) {
+    for (std::size_t r : rxs) {
+      EXPECT_EQ(a.world.link_snr_db(t, r), b.world.link_snr_db(t, r));
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        EXPECT_TRUE(same_bytes(a.world.channel(t, r, s),
+                               b.world.channel(t, r, s)));
+        EXPECT_TRUE(same_bytes(a.world.channel(r, t, s),
+                               b.world.channel(r, t, s)));
+        EXPECT_TRUE(same_bytes(a.world.reciprocal_channel(t, r, s),
+                               b.world.reciprocal_channel(t, r, s)));
+      }
+    }
+  }
+  // The steps really moved the channels: the comparison is not vacuous.
+  WorldFixture unmoved(31, /*lazy=*/true);
+  EXPECT_FALSE(same_bytes(a.world.channel(0, 1, 0),
+                          unmoved.world.channel(0, 1, 0)));
+  const auto sa = da.save(), sb = db.save();
+  EXPECT_EQ(sa.gen.state, sb.gen.state);
+  EXPECT_EQ(sa.gen.inc, sb.gen.inc);
+  EXPECT_EQ(sa.has_cached, sb.has_cached);
+  EXPECT_EQ(ra.save().gen.state, rb.save().gen.state);
 }
 
 // --- Churn mask at the round level --------------------------------------

@@ -493,6 +493,17 @@ TEST(Validation, WorldConfigRejectsNonsense) {
     util::Rng w(1);
     EXPECT_THROW(sim::make_world(topo, w, fft3), std::invalid_argument);
   }
+
+  // Powers of two too small for the 52 used subcarriers: at 32 bins the
+  // negative-k subcarriers alias onto positive-k ones, at 16 the bin
+  // mapping (fft_size - |k|) wraps around.
+  for (std::size_t small : {16u, 32u}) {
+    sim::WorldConfig fft_small;
+    fft_small.fft_size = small;
+    util::Rng w(1);
+    EXPECT_THROW(sim::make_world(topo, w, fft_small), std::invalid_argument)
+        << "fft_size " << small;
+  }
 }
 
 }  // namespace

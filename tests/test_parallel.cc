@@ -5,9 +5,11 @@
 // `tsan` ctest label so a ThreadSanitizer build exercises the same paths.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "baselines/dot11n.h"
+#include "channel/mimo_channel.h"
 #include "channel/testbed.h"
 #include "sim/runner.h"
 #include "sim/scenarios.h"
@@ -118,6 +120,36 @@ TEST(ParallelDeterminism, CarrierSenseSweepBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serial[t].power_raw.size(), parallel[t].power_raw.size());
     for (std::size_t s = 0; s < serial[t].power_raw.size(); ++s) {
       EXPECT_DOUBLE_EQ(serial[t].power_raw[s], parallel[t].power_raw[s]);
+    }
+  }
+}
+
+TEST(SharedTwiddles, ConcurrentFirstRequestsShareOneTable) {
+  // Every worker builds worlds, and every world asks for its grid's shared
+  // table. Race the very first requests for keys nothing else in this
+  // process uses: all workers must get the same, fully built table.
+  const std::vector<std::pair<std::size_t, std::size_t>> keys = {
+      {512, 5}, {1024, 2}, {512, 6}};
+  const std::size_t n = 64;
+  std::vector<const channel::Twiddles*> got(n * keys.size(), nullptr);
+  util::ThreadPool pool(many_threads());
+  pool.parallel_for(0, got.size(), [&](std::size_t i, std::size_t) {
+    const auto& [fft_size, n_taps] = keys[i % keys.size()];
+    got[i] = &channel::Twiddles::shared(fft_size, n_taps);
+  });
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const auto& [fft_size, n_taps] = keys[k];
+    const channel::Twiddles fresh(fft_size, n_taps);
+    for (std::size_t i = k; i < got.size(); i += keys.size()) {
+      ASSERT_EQ(got[i], got[k]);
+    }
+    EXPECT_EQ(got[k]->fft_size(), fft_size);
+    ASSERT_EQ(got[k]->n_taps(), n_taps);
+    for (int sc = -26; sc <= 26; ++sc) {
+      if (sc == 0) continue;
+      EXPECT_EQ(std::memcmp(got[k]->row(sc), fresh.row(sc),
+                            n_taps * sizeof(linalg::cdouble)),
+                0);
     }
   }
 }

@@ -140,7 +140,7 @@ TEST(RxMath, SinrMatchesAnalyticSiso) {
   obs.g_true = h;
   obs.g_est = h;
   obs.interference_true = CMat(1, 0);
-  obs.unwanted_basis = CMat(1, 0);
+  obs.receive_space = CMat::identity(1);
   obs.noise_power = 0.04;
   const auto sinr = zf_stream_sinr(obs);
   ASSERT_EQ(sinr.size(), 1u);
@@ -158,7 +158,8 @@ TEST(RxMath, ProjectionRemovesAdvertisedInterference) {
   obs.g_true = g;
   obs.g_est = g;
   obs.interference_true = f;
-  obs.unwanted_basis = advertised_unwanted_space(g, f, 1);
+  obs.receive_space =
+      linalg::orthogonal_complement(advertised_unwanted_space(g, f, 1));
   obs.noise_power = 1e-6;
   const auto sinr = zf_stream_sinr(obs);
   // Interference inside the unwanted space: SINR limited by noise only.
@@ -167,7 +168,7 @@ TEST(RxMath, ProjectionRemovesAdvertisedInterference) {
   // Without the projection the interferer leaks through (a matched filter
   // only attenuates it by the random-vector angle): much worse than with
   // the advertised-space projection.
-  obs.unwanted_basis = CMat(3, 0);
+  obs.receive_space = CMat::identity(3);
   const auto sinr_raw = zf_stream_sinr(obs);
   EXPECT_GT(util::to_db(sinr[0]), util::to_db(sinr_raw[0]) + 10.0);
 }
@@ -184,7 +185,7 @@ TEST(RxMath, OverloadedReceiverGetsZeroSinr) {
   obs.g_true = g;
   obs.g_est = g;
   obs.interference_true = CMat(2, 0);
-  obs.unwanted_basis = u;
+  obs.receive_space = linalg::orthogonal_complement(u);
   obs.noise_power = 1e-3;
   const auto sinr = zf_stream_sinr(obs);
   EXPECT_DOUBLE_EQ(sinr[0], 0.0);
