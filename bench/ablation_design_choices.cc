@@ -56,10 +56,15 @@ int main(int argc, char** argv) {
     cfg.seed = 5;
     cfg.round.include_overheads = false;
     cfg.round.admission.cancellation_limit_db = limit;
-    const auto res = sim::run_experiment(
+    const sim::SupervisedExperiment exp = sim::run_experiment(
         testbed, sc, cfg,
         {sim::make_nplus_round_fn(sc, cfg.round),
          baselines::make_dot11n_round_fn(sc, cfg.round)});
+    if (!exp.report.all_ok()) {
+      std::fputs(exp.report.summary().c_str(), stderr);
+      return 1;
+    }
+    const std::vector<sim::MethodResult>& res = exp.methods;
     double tot_n = 0, tot_b = 0, p1_n = 0, p1_b = 0;
     for (std::size_t p = 0; p < cfg.n_placements; ++p) {
       tot_n += res[0].samples[p].total_mbps;

@@ -25,7 +25,7 @@
 //
 //   ./dynamics_scale [output.json] [--smoke] [--threads N]
 //
-// Parts 1 and 3 evaluate items in parallel via run_generated_sessions
+// Parts 1 and 3 evaluate items in parallel via sim::CheckpointedRunner
 // (per-item streams forked before dispatch); the JSON contains only
 // simulation results, never timings, so its bytes are identical for any
 // --threads value — CI diffs 1/2/N. Wall-clock goes to stdout.
@@ -34,9 +34,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/checkpoint_runner.h"
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
 #include "util/cli.h"
@@ -49,6 +52,15 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// Runs one sweep on the global pool; a quarantined item aborts the bench
+// (cli_main reports it and exits 1) instead of publishing a zeroed slot.
+std::vector<sim::SessionResult> run_sweep(
+    const std::vector<sim::SweepItem>& items, std::uint64_t seed) {
+  sim::SweepOutcome out = sim::CheckpointedRunner(items, seed, {}).run();
+  if (!out.complete()) throw std::runtime_error(out.report.summary());
+  return std::move(out.results);
 }
 
 struct DopplerAxis {
@@ -151,7 +163,7 @@ int run_bench(int argc, char** argv) {
     }
   }
   double t0 = now_s();
-  const auto grid = sim::run_generated_sessions(grid_items, kSeed);
+  const auto grid = run_sweep(grid_items, kSeed);
   const double grid_wall = now_s() - t0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     std::printf("grid %-22s | %7.3f Mb/s jain %.3f joins %.2f "
@@ -220,7 +232,7 @@ int run_bench(int argc, char** argv) {
     scale_items.push_back(item);
   }
   t0 = now_s();
-  const auto scale = sim::run_generated_sessions(scale_items, kSeed + 7);
+  const auto scale = run_sweep(scale_items, kSeed + 7);
   const double scale_wall = now_s() - t0;
   for (std::size_t i = 0; i < scale.size(); ++i) {
     std::printf("N=%3zu mobile+churn  | %8.3f Mb/s jain %.3f joins %.2f "

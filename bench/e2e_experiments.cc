@@ -35,8 +35,12 @@ double now_s() {
       .count();
 }
 
-bool identical(const std::vector<nplus::sim::MethodResult>& a,
-               const std::vector<nplus::sim::MethodResult>& b) {
+// A parallel run reproduces the serial one only if it completed too.
+bool identical(const nplus::sim::SupervisedExperiment& ea,
+               const nplus::sim::SupervisedExperiment& eb) {
+  if (!eb.report.all_ok()) return false;
+  const auto& a = ea.methods;
+  const auto& b = eb.methods;
   if (a.size() != b.size()) return false;
   for (std::size_t m = 0; m < a.size(); ++m) {
     if (a[m].samples.size() != b[m].samples.size()) return false;
@@ -97,6 +101,10 @@ int run_bench(int argc, char** argv) {
   const double t0 = now_s();
   const auto serial = sim::run_experiment(testbed, scenario, cfg, methods);
   const double serial_s = now_s() - t0;
+  if (!serial.report.all_ok()) {
+    std::fputs(serial.report.summary().c_str(), stderr);
+    return 1;
+  }
 
   std::vector<Timing> timings;
   timings.push_back({1, serial_s, true});

@@ -81,7 +81,7 @@ DualRun run_dual(const sim::GeneratedTopology& topo,
     util::Rng rng(seed);
     util::Rng world_rng = rng.fork(11);
     util::Rng session_rng = rng.fork(12);
-    const sim::World world = sim::make_world(topo, world_rng, wcfg);
+    sim::World world = sim::make_world(topo, world_rng, wcfg);
     sim::SessionConfig cfg;
     cfg.n_rounds = n_rounds;
     // Periodic snapshots double as an order-sensitive trace probe below.
@@ -205,7 +205,7 @@ int run_bench(int argc, char** argv) {
     util::Rng ref_world_rng = ref_rng.fork(11);
     util::Rng ref_session_rng = ref_rng.fork(12);
     double t0 = now_s();
-    const sim::World ref_world = sim::make_world(topo, ref_world_rng);
+    sim::World ref_world = sim::make_world(topo, ref_world_rng);
     reference_build_s = now_s() - t0;
     sim::SessionConfig ref_cfg;
     ref_cfg.n_rounds = big_rounds;
@@ -254,7 +254,7 @@ int run_bench(int argc, char** argv) {
     pt.n_links = c.n;
     pt.rounds = c.rounds;
     double t0 = now_s();
-    const sim::World world = sim::make_world(topo, world_rng, lazy);
+    sim::World world = sim::make_world(topo, world_rng, lazy);
     pt.world_build_s = now_s() - t0;
     sim::SessionConfig cfg;
     cfg.n_rounds = c.rounds;

@@ -31,10 +31,15 @@ int main(int argc, char** argv) {
   cfg.seed = 42;
   cfg.round.include_overheads = false;  // paper accounting (see header)
 
-  const auto results = sim::run_experiment(
+  const sim::SupervisedExperiment exp = sim::run_experiment(
       testbed, scenario, cfg,
       {sim::make_nplus_round_fn(scenario, cfg.round),
        baselines::make_dot11n_round_fn(scenario, cfg.round)});
+  if (!exp.report.all_ok()) {
+    std::fputs(exp.report.summary().c_str(), stderr);
+    return 1;
+  }
+  const std::vector<sim::MethodResult>& results = exp.methods;
 
   auto collect = [&](int method, int link) {
     std::vector<double> v;

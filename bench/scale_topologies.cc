@@ -20,7 +20,7 @@
 // to an uninterrupted one.
 //
 // Determinism: every item's randomness is forked from the master seed before
-// dispatch (sim::run_generated_sessions), and the JSON contains only
+// dispatch (sim::CheckpointedRunner), and the JSON contains only
 // simulation results — no wall-clock or thread-count fields — so the output
 // file is bit-identical for --threads 1, 2, or N. Timing goes to stdout.
 // --smoke shrinks the sweep (N <= 10, few rounds) for CI.
@@ -147,7 +147,7 @@ int run_bench(int argc, char** argv) {
   // Flatten every (sweep point, world) pair into ONE parallel batch so the
   // pool stays busy across points — a single N=100 point only has 2 items,
   // far fewer than the pool's workers. Item i's randomness is forked from
-  // the master seed by run_generated_sessions, so the flat order is the
+  // the master seed by CheckpointedRunner, so the flat order is the
   // determinism contract (and is independent of the thread count).
   std::vector<SweepPoint> points;
   std::vector<sim::SweepItem> batch;
@@ -204,7 +204,7 @@ int run_bench(int argc, char** argv) {
     util::Rng world_rng = rng.fork(11);
     util::Rng session_rng = rng.fork(12);
     const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
-    const sim::World world = sim::make_world(topo, world_rng);
+    sim::World world = sim::make_world(topo, world_rng);
     sim::SessionConfig scfg;
     scfg.n_rounds = smoke ? 16 : 120;
     const auto res =
@@ -221,8 +221,16 @@ int run_bench(int argc, char** argv) {
   {
     std::vector<sim::SweepItem> items(2, make_item(3, sim::PlacementMode::kUniform,
                                                    smoke ? 8 : 20));
-    const auto a = sim::run_generated_sessions(items, 99, 1);
-    const auto b = sim::run_generated_sessions(items, 99, 2);
+    const auto run_pool = [&](std::size_t threads) {
+      sim::RunnerConfig pool_cfg;
+      pool_cfg.supervisor.n_threads = threads;
+      return sim::CheckpointedRunner(items, 99, pool_cfg).run();
+    };
+    const sim::SweepOutcome pool1 = run_pool(1);
+    const sim::SweepOutcome pool2 = run_pool(2);
+    deterministic = pool1.complete() && pool2.complete();
+    const auto& a = pool1.results;
+    const auto& b = pool2.results;
     for (std::size_t i = 0; i < a.size(); ++i) {
       deterministic = deterministic && a[i].total_mbps == b[i].total_mbps &&
                       a[i].jain == b[i].jain &&

@@ -32,11 +32,16 @@ int main(int argc, char** argv) {
   const channel::Testbed testbed;
   const sim::Scenario scenario = sim::ap_scenario();
 
-  const auto results = sim::run_experiment(
+  const sim::SupervisedExperiment exp = sim::run_experiment(
       testbed, scenario, config,
       {sim::make_nplus_round_fn(scenario, config.round),
        baselines::make_dot11n_round_fn(scenario, config.round),
        baselines::make_beamforming_round_fn(scenario, config.round)});
+  if (!exp.report.all_ok()) {
+    std::fputs(exp.report.summary().c_str(), stderr);
+    return 1;
+  }
+  const std::vector<sim::MethodResult>& results = exp.methods;
 
   const char* methods[] = {"n+", "802.11n", "beamforming"};
   const char* links[] = {"c1 -> AP1 (sensor uplink)",

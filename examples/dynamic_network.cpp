@@ -1,7 +1,7 @@
 // Dynamic-network walkthrough: make a generated cell *live*.
 //
 // Builds a 10-pair world, then runs the same seeded session four ways:
-//   1. frozen (the PR-4 static engine — the baseline),
+//   1. frozen (dynamics off — the baseline),
 //   2. mobile (pedestrian random-waypoint + Doppler channel evolution),
 //   3. mobile + churning (Poisson flow and node arrival/departure),
 //   4. mobile + churning with history-driven (AARF) rate adaptation

@@ -33,8 +33,13 @@ int main(int argc, char** argv) {
       sim::make_nplus_round_fn(scenario, config.round),
       baselines::make_dot11n_round_fn(scenario, config.round),
   };
-  const auto results =
+  const sim::SupervisedExperiment exp =
       sim::run_experiment(testbed, scenario, config, methods);
+  if (!exp.report.all_ok()) {
+    std::fputs(exp.report.summary().c_str(), stderr);
+    return 1;
+  }
+  const std::vector<sim::MethodResult>& results = exp.methods;
 
   const char* names[] = {"n+", "802.11n"};
   const char* pairs[] = {"1-antenna pair", "2-antenna pair",

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   }
 
   // 2. Simulate: a 60-round session with real DCF contention.
-  const sim::World world = sim::make_world(topo, world_rng);
+  sim::World world = sim::make_world(topo, world_rng);
   sim::SessionConfig scfg;
   scfg.n_rounds = 60;
   scfg.snapshot_every = 15;
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     util::Rng wr = rng.fork(1);
     util::Rng sr = rng.fork(2);
     const sim::GeneratedTopology t = sim::make_preset(preset, rng);
-    const sim::World w = sim::make_world(t, wr);
+    sim::World w = sim::make_world(t, wr);
     sim::SessionConfig cfg;
     cfg.n_rounds = 40;
     cfg.snapshot_every = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "mac/airtime.h"
 #include "phy/mcs.h"
@@ -76,11 +77,15 @@ std::vector<std::string> audit_session(const SessionResult& result,
   }
 
   // --- Shape -------------------------------------------------------------
-  if (ctx.n_links > 0 && result.per_link_mbps.size() != ctx.n_links) {
-    std::ostringstream os;
-    os << "per_link_mbps has " << result.per_link_mbps.size()
-       << " entries for " << ctx.n_links << " links";
-    fail(os.str());
+  for (const auto& [name, rates] :
+       {std::pair{"per_link_mbps", &result.per_link_mbps},
+        std::pair{"per_link_goodput_mbps", &result.per_link_goodput_mbps}}) {
+    if (ctx.n_links > 0 && rates->size() != ctx.n_links) {
+      std::ostringstream os;
+      os << name << " has " << rates->size() << " entries for "
+         << ctx.n_links << " links";
+      fail(os.str());
+    }
   }
   if (ctx.n_rounds_cap > 0 && result.rounds > ctx.n_rounds_cap) {
     std::ostringstream os;

@@ -264,9 +264,9 @@ SweepOutcome CheckpointedRunner::run() {
       n,
       [&](std::size_t i, util::CancelToken& token) {
         if (halted.load(std::memory_order_relaxed)) return;
-        // Identical per-item work to run_generated_sessions: restore a
-        // fresh copy of the pre-forked stream, fork gen/world/session off
-        // it, generate, build, run. Any retry starts from the same state.
+        // Restore a fresh copy of the pre-forked stream, fork
+        // gen/world/session off it, generate, build, run. Any retry starts
+        // from the same state.
         util::Rng rng = util::Rng::restore(table[i]);
         util::Rng gen_rng = rng.fork(1);
         util::Rng world_rng = rng.fork(2);

@@ -1,12 +1,11 @@
-// Resilient sweep driver: run_generated_sessions under supervision, with
-// periodic checkpointing and bit-exact resume.
+// The sweep executor: one generated topology, world and session per
+// SweepItem (scenario_gen.h), under supervision, with periodic
+// checkpointing and bit-exact resume.
 //
-// `run_generated_sessions` (scenario_gen.h) dies whole-sale: one thrown
-// item aborts the sweep, a wedged session blocks it forever, and a killed
-// process restarts from zero. CheckpointedRunner executes the identical
-// per-item work — the same fork structure (item stream = Rng(seed).fork(i+1),
-// then gen/world/session forks 1/2/3), the same write-by-index results — but
-// wraps every item in a util::Supervisor:
+// Item i draws all its randomness from its own stream, Rng(seed).fork(i+1),
+// forked before any dispatch; the topology, world and session take forks
+// 1/2/3 of it. Results are written by index, so a sweep is bit-identical
+// for every thread count. Every item runs inside a util::Supervisor:
 //
 //   * a throwing item is quarantined into the FailureReport and the sweep
 //     completes with partial results (the failed slot keeps a
@@ -21,11 +20,9 @@
 //     restores them bit-exactly, skips their items, and produces output
 //     byte-identical to an uninterrupted run at any thread count.
 //
-// Determinism: the stream table is forked from the master seed before any
-// dispatch, exactly as run_generated_sessions does, and each attempt of an
-// item copies its immutable table entry — so retries, resumes, and any
-// thread count all replay the same draws. A fresh run with no failures
-// returns results identical to run_generated_sessions(items, seed).
+// Determinism: each attempt of an item copies its immutable stream-table
+// entry, so retries, resumes, and any thread count all replay the same
+// draws. Callers that need every item check SweepOutcome::complete().
 #pragma once
 
 #include <cstdint>

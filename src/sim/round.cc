@@ -136,7 +136,7 @@ class RoundBuilder {
   }
   std::vector<std::size_t> active_links_of(std::size_t tx) const {
     std::vector<std::size_t> out = sc_.links_of(tx);
-    if (active_ == nullptr) return out;  // static path: no filtering work
+    if (active_ == nullptr) return out;  // no mask: no filtering work
     out.erase(std::remove_if(out.begin(), out.end(),
                              [&](std::size_t li) {
                                return !link_active(li);

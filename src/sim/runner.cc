@@ -4,32 +4,19 @@
 #include <string>
 #include <utility>
 
-#include "util/thread_pool.h"
-
 namespace nplus::sim {
 
 namespace {
 
-// Per-worker scratch reused across every placement that worker evaluates:
-// the per-link bit accumulator never reallocates after the first placement,
-// keeping the harness allocation-light per worker (the PHY kernels below it
-// already hold their workspaces in thread-local storage).
-struct PlacementScratch {
-  std::vector<double> bits;
-};
-
-// One placement's full evaluation — world redraw loop plus every method's
-// round loop — shared verbatim between the bare and the supervised harness
-// so the two stay draw-for-draw identical. `cancel` (nullptr on the bare
-// path) is polled between rounds; a fired token throws util::TimeoutError
-// so the supervisor can quarantine the placement as timed out.
-void evaluate_placement(const channel::Testbed& testbed,
-                        const Scenario& scenario,
-                        const ExperimentConfig& config,
-                        const std::vector<RoundFn>& methods, std::size_t p,
-                        util::Rng& placement_rng, PlacementScratch& scratch,
-                        const util::CancelToken* cancel,
-                        std::vector<MethodResult>& results) {
+// One placement's full evaluation: the world redraw loop plus every
+// method's round loop, one sample per method. `cancel` is polled between
+// rounds; a fired token throws util::TimeoutError so the supervisor can
+// quarantine the placement as timed out.
+std::vector<ThroughputSample> evaluate_placement(
+    const channel::Testbed& testbed, const Scenario& scenario,
+    const ExperimentConfig& config, const std::vector<RoundFn>& methods,
+    std::size_t p, util::Rng& placement_rng,
+    const util::CancelToken& cancel) {
   // Draw placements until every traffic pair is alive (or give up and
   // accept the last draw).
   std::optional<World> world;
@@ -49,12 +36,14 @@ void evaluate_placement(const channel::Testbed& testbed,
     if (alive) break;
   }
 
+  std::vector<ThroughputSample> samples(methods.size());
+  std::vector<double> bits;
   for (std::size_t m = 0; m < methods.size(); ++m) {
     util::Rng round_rng = placement_rng.fork(1000 + m);
     double total_time = 0.0;
-    scratch.bits.assign(scenario.links.size(), 0.0);
+    bits.assign(scenario.links.size(), 0.0);
     for (std::size_t r = 0; r < config.rounds_per_placement; ++r) {
-      if (cancel != nullptr && cancel->cancelled()) {
+      if (cancel.cancelled()) {
         throw util::TimeoutError(
             "placement " + std::to_string(p) +
             " cancelled by watchdog (method " + std::to_string(m) +
@@ -63,63 +52,27 @@ void evaluate_placement(const channel::Testbed& testbed,
       const GenericRound round = methods[m](*world, round_rng);
       total_time += round.duration_s;
       for (std::size_t l = 0;
-           l < scratch.bits.size() && l < round.delivered_bits.size(); ++l) {
-        scratch.bits[l] += round.delivered_bits[l];
+           l < bits.size() && l < round.delivered_bits.size(); ++l) {
+        bits[l] += round.delivered_bits[l];
       }
     }
-    ThroughputSample sample;
-    sample.per_link_mbps.resize(scratch.bits.size());
+    ThroughputSample& sample = samples[m];
+    sample.per_link_mbps.resize(bits.size());
     double total_bits = 0.0;
-    for (std::size_t l = 0; l < scratch.bits.size(); ++l) {
+    for (std::size_t l = 0; l < bits.size(); ++l) {
       sample.per_link_mbps[l] =
-          total_time > 0.0 ? scratch.bits[l] / total_time / 1e6 : 0.0;
-      total_bits += scratch.bits[l];
+          total_time > 0.0 ? bits[l] / total_time / 1e6 : 0.0;
+      total_bits += bits[l];
     }
     sample.total_mbps =
         total_time > 0.0 ? total_bits / total_time / 1e6 : 0.0;
-    results[m].samples[p] = std::move(sample);
   }
+  return samples;
 }
 
 }  // namespace
 
-std::vector<MethodResult> run_experiment(
-    const channel::Testbed& testbed, const Scenario& scenario,
-    const ExperimentConfig& config, const std::vector<RoundFn>& methods) {
-  std::vector<MethodResult> results(methods.size());
-  for (auto& r : results) r.samples.resize(config.n_placements);
-
-  // Fork every placement's stream up front, in placement order, from the
-  // master seed. This is the determinism shard: whatever worker picks up
-  // placement p later, it sees exactly the stream the serial loop would
-  // have handed it.
-  util::Rng master(config.seed);
-  std::vector<util::Rng> placement_rngs;
-  placement_rngs.reserve(config.n_placements);
-  for (std::size_t p = 0; p < config.n_placements; ++p) {
-    placement_rngs.push_back(master.fork(p + 1));
-  }
-
-  auto body = [&](std::size_t p, PlacementScratch& scratch) {
-    evaluate_placement(testbed, scenario, config, methods, p,
-                       placement_rngs[p], scratch, nullptr, results);
-  };
-
-  auto dispatch = [&](util::ThreadPool& pool) {
-    pool.parallel_for_ctx(
-        0, config.n_placements,
-        [](std::size_t) { return PlacementScratch{}; }, body);
-  };
-  if (config.n_threads == 0) {
-    dispatch(util::ThreadPool::global());
-  } else {
-    util::ThreadPool pool(config.n_threads);
-    dispatch(pool);
-  }
-  return results;
-}
-
-SupervisedExperiment run_experiment_supervised(
+SupervisedExperiment run_experiment(
     const channel::Testbed& testbed, const Scenario& scenario,
     const ExperimentConfig& config, const std::vector<RoundFn>& methods,
     const util::SupervisorConfig& supervisor) {
@@ -128,9 +81,10 @@ SupervisedExperiment run_experiment_supervised(
   for (auto& r : out.methods) r.samples.resize(config.n_placements);
   out.completed.assign(config.n_placements, 0);
 
-  // Saved (immutable) per-placement streams instead of live Rngs: a retry
-  // must restart from the exact state the first attempt saw, and fork()
-  // advances its parent, so each attempt restores a pristine copy.
+  // The determinism shard: every placement's stream is forked up front, in
+  // placement order, from the master seed, and saved in immutable form —
+  // whatever worker picks up placement p (and however often a retry
+  // restarts it) sees exactly the stream the serial loop would have.
   util::Rng master(config.seed);
   std::vector<util::Rng::State> placement_streams;
   placement_streams.reserve(config.n_placements);
@@ -148,9 +102,13 @@ SupervisedExperiment run_experiment_supervised(
   out.report = sv.run(
       config.n_placements, [&](std::size_t p, util::CancelToken& token) {
         util::Rng placement_rng = util::Rng::restore(placement_streams[p]);
-        PlacementScratch scratch;
-        evaluate_placement(testbed, scenario, config, methods, p,
-                           placement_rng, scratch, &token, out.methods);
+        std::vector<ThroughputSample> samples = evaluate_placement(
+            testbed, scenario, config, methods, p, placement_rng, token);
+        // Published only once every method finished, so a quarantined
+        // placement keeps zeroed samples throughout.
+        for (std::size_t m = 0; m < methods.size(); ++m) {
+          out.methods[m].samples[p] = std::move(samples[m]);
+        }
         out.completed[p] = 1;
       });
   return out;

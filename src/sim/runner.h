@@ -55,41 +55,35 @@ struct MethodResult {
   std::vector<ThroughputSample> samples;  // one per placement
 };
 
+struct SupervisedExperiment {
+  std::vector<MethodResult> methods;    // one per RoundFn, in order
+  std::vector<std::uint8_t> completed;  // per placement: samples valid?
+  util::FailureReport report;
+};
+
 // Runs every method over the same placements, evaluating placements in
-// parallel (config.n_threads). Placement p's world and rounds draw from a
-// stream forked as master.fork(p + 1) — the paper's paired-comparison
+// parallel under a util::Supervisor. Placement p's world and rounds draw
+// from a stream forked as master.fork(p + 1) before dispatch, and samples
+// are written by placement index — the paper's paired-comparison
 // methodology is preserved exactly, and the output is independent of the
 // thread count and of scheduling order.
-std::vector<MethodResult> run_experiment(
+//
+// A placement whose evaluation throws is quarantined into the report
+// instead of aborting the experiment: its samples stay zeroed for every
+// method and completed[p] == 0 flags them, so callers that need every
+// placement check report.all_ok(). An optional watchdog cancels placements
+// past their wall-clock budget (the round loop polls the token between
+// rounds), and TransientError attempts are retried from a pristine copy of
+// the placement's pre-forked stream. `supervisor.n_threads == 0` defers to
+// config.n_threads (which itself falls back to the global pool); an empty
+// stream_label defaults to "seed <config.seed>".
+SupervisedExperiment run_experiment(
     const channel::Testbed& testbed, const Scenario& scenario,
-    const ExperimentConfig& config, const std::vector<RoundFn>& methods);
+    const ExperimentConfig& config, const std::vector<RoundFn>& methods,
+    const util::SupervisorConfig& supervisor = {});
 
 // Adapter: the n+ protocol as a RoundFn.
 RoundFn make_nplus_round_fn(const Scenario& scenario,
                             const RoundConfig& config);
-
-// --- Supervised variant --------------------------------------------------
-//
-// run_experiment under a util::Supervisor: a placement whose evaluation
-// throws is quarantined into the FailureReport instead of aborting the
-// whole experiment (its samples stay zeroed for every method, and
-// completed[p] == 0 flags them), an optional watchdog cancels placements
-// past their wall-clock budget (the round loop polls the token between
-// rounds), and TransientError attempts are retried from a pristine copy of
-// the placement's pre-forked stream. A run in which nothing fails produces
-// samples identical to run_experiment — same forks, same write-by-index.
-struct SupervisedExperiment {
-  std::vector<MethodResult> methods;       // as run_experiment returns
-  std::vector<std::uint8_t> completed;     // per placement: samples valid?
-  util::FailureReport report;
-};
-
-// `supervisor.n_threads == 0` defers to config.n_threads (which itself
-// falls back to the global pool); an empty stream_label defaults to
-// "seed <config.seed>".
-SupervisedExperiment run_experiment_supervised(
-    const channel::Testbed& testbed, const Scenario& scenario,
-    const ExperimentConfig& config, const std::vector<RoundFn>& methods,
-    const util::SupervisorConfig& supervisor = {});
 
 }  // namespace nplus::sim

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/thread_pool.h"
-
 namespace nplus::sim {
 
 namespace {
@@ -261,27 +259,6 @@ World make_world(const GeneratedTopology& topo, util::Rng& rng,
                  const WorldConfig& config) {
   return World(topo.testbed, topo.scenario.nodes, topo.locations, rng,
                config, topo.roles);
-}
-
-std::vector<SessionResult> run_generated_sessions(
-    const std::vector<SweepItem>& items, std::uint64_t seed,
-    std::size_t n_threads) {
-  std::vector<SessionResult> results(items.size());
-  util::ThreadPool::run_seeded(
-      n_threads, seed, items.size(), [&](std::size_t i, util::Rng& rng) {
-        util::Rng gen_rng = rng.fork(1);
-        util::Rng world_rng = rng.fork(2);
-        util::Rng session_rng = rng.fork(3);
-        const GeneratedTopology topo =
-            generate_topology(items[i].gen, gen_rng);
-        // Mutable: items whose session.dynamics is active advance the
-        // world between rounds (each item owns its world, so this stays
-        // thread-safe and bit-identical across pool sizes).
-        World world = make_world(topo, world_rng, items[i].world);
-        results[i] =
-            run_session(world, topo.scenario, session_rng, items[i].session);
-      });
-  return results;
 }
 
 }  // namespace nplus::sim

@@ -119,24 +119,15 @@ GeneratedTopology make_preset(Preset preset, util::Rng& rng);
 World make_world(const GeneratedTopology& topo, util::Rng& rng,
                  const WorldConfig& config = {});
 
-// --- Parallel sweep driver ----------------------------------------------
-//
-// One generated topology + one multi-round session per item, evaluated on
-// the thread pool (n_threads as in ThreadPool::run: 0 = global pool).
-// Item i draws all its randomness from streams forked off Rng(seed) before
-// dispatch (topology fork(1), world fork(2), session fork(3) of the item's
-// own fork(i + 1)), and results are written by index — bit-identical for
-// every thread count. Items may set session.dynamics (mobility, Doppler
-// channel evolution, churn, adaptive rates): each item owns its world, so
-// dynamic sessions keep the same determinism contract.
+// One sweep item: a generated topology, its world, and one multi-round
+// session on it. sim::CheckpointedRunner (checkpoint_runner.h) runs a list
+// of them. Items may set session.dynamics (mobility, Doppler channel
+// evolution, churn, adaptive rates) or session.faults: each item owns its
+// world, so live sessions keep the same determinism contract.
 struct SweepItem {
   GenConfig gen;
   SessionConfig session{};
   WorldConfig world{};
 };
-
-std::vector<SessionResult> run_generated_sessions(
-    const std::vector<SweepItem>& items, std::uint64_t seed,
-    std::size_t n_threads = 0);
 
 }  // namespace nplus::sim

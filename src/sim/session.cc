@@ -1,7 +1,6 @@
 #include "sim/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -33,10 +32,10 @@ void check_fraction(double v, const char* name) {
   }
 }
 
-// Watchdog cancellation point, polled at every round boundary by both
-// session drivers. Draw-free, so an uncancelled session's trace is
-// untouched; on cancellation the session unwinds out of EventSim::run via
-// util::TimeoutError and the supervisor quarantines the item.
+// Watchdog cancellation point, polled at every round boundary. Draw-free,
+// so an uncancelled session's trace is untouched; on cancellation the
+// session unwinds out of EventSim::run via util::TimeoutError and the
+// supervisor quarantines the item.
 void poll_cancel(const util::CancelToken* cancel, std::size_t rounds_done) {
   if (cancel != nullptr && cancel->cancelled()) {
     throw util::TimeoutError(
@@ -108,8 +107,8 @@ double jain_index(const std::vector<double>& xs) {
 
 namespace {
 
-// Draw-free scaffolding shared by the static and dynamic session paths
-// (it touches no RNG, so sharing it cannot perturb either path's trace).
+// Draw-free scaffolding of the round loop (it touches no RNG, so it cannot
+// perturb any session's trace).
 
 // Cumulative snapshot at sim time t, appended to out.series.
 void take_snapshot(SessionResult& out, const std::vector<double>& link_bits,
@@ -132,8 +131,7 @@ void take_snapshot(SessionResult& out, const std::vector<double>& link_bits,
 // Final accounting. Session duration: the horizon if one was set (the
 // EventSim advanced its clock to it), otherwise the end of the last
 // round's airtime — the sim clock alone stops at the last round's *start*
-// event. `goodput_bits` may alias `link_bits` (fault-free paths, where
-// every delivered frame is also a first delivery).
+// event.
 void finalize_session(SessionResult& out,
                       const std::vector<double>& link_bits,
                       const std::vector<double>& goodput_bits,
@@ -141,7 +139,6 @@ void finalize_session(SessionResult& out,
                       const util::RunningStats& streams_per_round,
                       double clock_s, double busy_end_s) {
   out.duration_s = std::max(clock_s, busy_end_s);
-  out.per_link_goodput_mbps.assign(link_bits.size(), 0.0);
   if (out.duration_s > 0.0) {
     double bits = 0.0;
     double good = 0.0;
@@ -161,127 +158,62 @@ void finalize_session(SessionResult& out,
 
 }  // namespace
 
-SessionResult run_session(const World& world, const Scenario& scenario,
-                          util::Rng& rng, const SessionConfig& config) {
-  config.validate();
-  // A dynamic, faulty, or baseline-scheme session needs the live driver;
-  // use the World& overload.
-  assert(!config.dynamics.active());
-  assert(!config.faults.enabled());
-  assert(config.scheme == Scheme::kNplus);
-  SessionResult out;
-  const std::size_t n_links = scenario.links.size();
-  out.per_link_mbps.assign(n_links, 0.0);
-  if (config.n_rounds == 0) return out;
-
-  mac::EventSim sim;
-  sim.set_trace(config.trace);
-  if (config.trace != nullptr) {
-    config.trace->emit(util::TraceEvent::kSessionStart, 0.0, n_links);
-  }
-  std::vector<double> link_bits(n_links, 0.0);
-  util::RunningStats winners_per_round;
-  util::RunningStats streams_per_round;
-  double busy_end_s = 0.0;  // sim time when the last round's body+ACK ended
-
-  // Each handler runs one round at the sim time where the previous round's
-  // airtime (plus the idle gap) ended, then schedules its successor. The
-  // lambda is moved — not copied — through the event queue (EventSim::run),
-  // so chaining thousands of rounds costs one small allocation each.
-  std::function<void()> round_fn = [&] {
-    poll_cancel(config.cancel, out.rounds);
-    const RoundResult res = run_nplus_round(world, scenario, rng,
-                                            config.round);
-    out.rounds += 1;
-    winners_per_round.add(static_cast<double>(res.winner_order.size()));
-    streams_per_round.add(static_cast<double>(res.total_streams));
-    out.round_duration.add(res.duration_s);
-    out.round_duration_q.add(res.duration_s);
-    for (std::size_t l = 0; l < n_links; ++l) {
-      link_bits[l] += res.links[l].delivered_bits;
-    }
-    busy_end_s = sim.now() + res.duration_s;
-    if (config.trace != nullptr) {
-      config.trace->emit(util::TraceEvent::kRoundEnd, busy_end_s,
-                         res.winner_order.size(), res.duration_s);
-    }
-
-    if (config.snapshot_every > 0 &&
-        out.rounds % config.snapshot_every == 0) {
-      take_snapshot(out, link_bits, winners_per_round, busy_end_s);
-    }
-    if (out.rounds >= config.n_rounds) return;
-    const double next_start = busy_end_s + config.inter_round_gap_s;
-    if (config.max_duration_s > 0.0 && next_start > config.max_duration_s) {
-      return;  // horizon reached; EventSim settles the clock at it
-    }
-    sim.schedule_at(next_start, round_fn);
-  };
-
-  sim.schedule_at(0.0, round_fn);
-  if (config.max_duration_s > 0.0) {
-    sim.run(config.max_duration_s);
-  } else {
-    sim.run();
-  }
-
-  finalize_session(out, link_bits, link_bits, winners_per_round,
-                   streams_per_round, sim.now(), busy_end_s);
-  out.mean_active_links = static_cast<double>(n_links);
-  if (config.trace != nullptr) {
-    config.trace->emit(util::TraceEvent::kSessionEnd, out.duration_s,
-                       out.rounds, out.duration_s);
-  }
-  return out;
-}
-
-namespace {
-
-// The living-cell session: identical MAC/round accounting to the static
-// path, with a physical-world step (mobility -> channel evolution -> churn
-// mask) before each round and a feedback step (AARF observations, CSI
-// re-measurement for the links that exchanged handshakes/ACKs) after it.
-// Every dynamics draw comes from one stream forked off the session rng at
-// start, so the trace is a pure function of (world seed, session seed).
+// One round loop for every session. A *live* session — dynamics active,
+// faults enabled, or the 802.11n scheme — steps the physical world before
+// each round (mobility -> channel evolution -> churn mask) and re-measures
+// CSI for the links that transmitted after it, all from one stream forked
+// off `rng` at session start. Any other session forks nothing, never steps
+// the world or re-measures its CSI, and keeps the pre-dynamics draw
+// sequence exactly (the golden fixtures pin this).
 //
-// This driver also hosts the failure-aware MAC (config.faults): a
-// FaultInjector with its own forked stream masks crashed nodes out of
-// contention, gates joiners on overheard headers, realizes each
-// transmitted frame's fate, and runs per-frame retry chains — un-ACKed
-// rounds stretch by the ACK timeout via a cancellable EventSim timer
-// (cancelled whenever the round fully ACKed), retries re-enter contention
-// with escalated windows, and goodput is scored separately from
-// throughput. It also hosts the scheme switch: Scheme::kDot11n swaps
+// The failure-aware MAC (config.faults) rides on a FaultInjector with its
+// own forked stream: it masks crashed nodes out of contention, gates
+// joiners on overheard headers, realizes each transmitted frame's fate,
+// and runs per-frame retry chains — un-ACKed rounds stretch by the ACK
+// timeout, retries re-enter contention with escalated windows, and goodput
+// is scored separately from throughput. Scheme::kDot11n swaps
 // run_nplus_round for the isolated-transmission baseline round under the
 // same session machinery, so fault sweeps compare schemes like for like.
-SessionResult run_live_session(World& world, const Scenario& scenario,
-                               util::Rng& rng, const SessionConfig& config) {
+SessionResult run_session(World& world, const Scenario& scenario,
+                          util::Rng& rng, const SessionConfig& config) {
+  config.validate();
   SessionResult out;
   const std::size_t n_links = scenario.links.size();
   out.per_link_mbps.assign(n_links, 0.0);
   out.per_link_goodput_mbps.assign(n_links, 0.0);
-  if (config.n_rounds == 0) return out;
+  if (config.n_rounds == 0) {
+    out.jain = jain_index(out.per_link_mbps);
+    return out;
+  }
 
   const DynamicsConfig& dyn = config.dynamics;
-  util::Rng dyn_rng = rng.fork(0xD1AA);
-  // Forked ONLY when faults are on: a fork costs two parent draws, and a
-  // faults-off session must keep the pre-fault draw sequence exactly.
+  const bool live = dyn.active() || config.faults.enabled() ||
+                    config.scheme == Scheme::kDot11n;
+  // Each fork costs two parent draws, so a stream is forked only for the
+  // sessions that use it.
+  std::optional<util::Rng> dyn_rng;
+  std::optional<Mobility> mobility;
+  if (live) {
+    dyn_rng.emplace(rng.fork(0xD1AA));
+    std::vector<channel::Location> initial;
+    initial.reserve(world.n_nodes());
+    for (std::size_t i = 0; i < world.n_nodes(); ++i) {
+      initial.push_back(world.node_position(i));
+    }
+    mobility.emplace(std::move(initial), dyn.mobility, *dyn_rng);
+  }
   std::optional<FaultInjector> inj;
   if (config.faults.enabled()) {
     inj.emplace(config.faults, scenario, rng.fork(0xFA17));
   }
 
-  std::vector<channel::Location> initial;
-  initial.reserve(world.n_nodes());
-  for (std::size_t i = 0; i < world.n_nodes(); ++i) {
-    initial.push_back(world.node_position(i));
-  }
-  Mobility mobility(std::move(initial), dyn.mobility, dyn_rng);
-
   std::vector<std::uint8_t> flow_on(
       n_links, dyn.churn.start_all_active ? 1 : 0);
   std::vector<std::uint8_t> present(world.n_nodes(), 1);
   std::vector<std::uint8_t> mask(n_links, 1);
+  // Only a live session can mask links out; the others skip the round
+  // builder's filtering work.
+  const std::vector<std::uint8_t>* active = live ? &mask : nullptr;
 
   phy::RateController rate_ctl(dyn.rate_control);
   RoundConfig round_cfg = config.round;
@@ -298,11 +230,16 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
   util::RunningStats winners_per_round;
   util::RunningStats streams_per_round;
   util::RunningStats active_links;
-  double busy_end_s = 0.0;
+  double busy_end_s = 0.0;   // sim time when the last round's body+ACK ended
   double last_step_t = 0.0;  // sim time the world state is current for
   const double ack_timeout = mac::ack_timeout_s(round_cfg.airtime);
 
-  const auto maybe_snapshot_and_chain = [&](std::function<void()>& self) {
+  // Snapshots the cumulative state at busy_end_s, then schedules the next
+  // round where the last one's airtime (plus the idle gap) ended. The
+  // handler is moved — not copied — through the event queue
+  // (EventSim::run), so chaining thousands of rounds costs one small
+  // allocation each.
+  const auto snapshot_and_chain = [&](std::function<void()>& self) {
     if (config.snapshot_every > 0 &&
         out.rounds % config.snapshot_every == 0) {
       take_snapshot(out, link_bits, winners_per_round, busy_end_s);
@@ -310,7 +247,7 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
     if (out.rounds >= config.n_rounds) return;
     const double next_start = busy_end_s + config.inter_round_gap_s;
     if (config.max_duration_s > 0.0 && next_start > config.max_duration_s) {
-      return;
+      return;  // horizon reached; EventSim settles the clock at it
     }
     sim.schedule_at(next_start, self);
   };
@@ -318,7 +255,7 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
   // transition probability for flows and nodes.
   const auto transitions = [&](double rate_hz, double dt) {
     return rate_hz > 0.0 &&
-           dyn_rng.bernoulli(1.0 - std::exp(-rate_hz * dt));
+           dyn_rng->bernoulli(1.0 - std::exp(-rate_hz * dt));
   };
 
   std::function<void()> round_fn = [&] {
@@ -327,10 +264,10 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
     // the previous round on the air; the world moved underneath it.
     const double dt = sim.now() - last_step_t;
     last_step_t = sim.now();
-    if (dt > 0.0) {
-      mobility.advance(dt, dyn_rng);
-      world.advance(mobility.positions(), mobility.speed_mps(), dt,
-                    dyn.evolution, dyn_rng);
+    if (live && dt > 0.0) {
+      mobility->advance(dt, *dyn_rng);
+      world.advance(mobility->positions(), mobility->speed_mps(), dt,
+                    dyn.evolution, *dyn_rng);
       for (std::size_t l = 0; l < n_links; ++l) {
         flow_on[l] = flow_on[l]
                          ? (transitions(dyn.churn.flow_departure_hz, dt)
@@ -377,15 +314,15 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
         config.trace->emit(util::TraceEvent::kRoundEnd, busy_end_s, 0,
                            dyn.churn.idle_step_s);
       }
-      maybe_snapshot_and_chain(round_fn);
+      snapshot_and_chain(round_fn);
       return;
     }
 
     const RoundResult res =
         config.scheme == Scheme::kDot11n
             ? baselines::run_dot11n_round(world, scenario, rng, round_cfg,
-                                          &mask)
-            : run_nplus_round(world, scenario, rng, round_cfg, &mask);
+                                          active)
+            : run_nplus_round(world, scenario, rng, round_cfg, active);
     out.rounds += 1;
     winners_per_round.add(static_cast<double>(res.winner_order.size()));
     streams_per_round.add(static_cast<double>(res.total_streams));
@@ -436,37 +373,28 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
     // from their receivers (reciprocal CSI re-measured); every other
     // belief in the cell keeps aging toward uselessness. An injected CSI
     // failure silently loses one re-measurement: the belief keeps aging.
-    for (std::size_t l = 0; l < n_links; ++l) {
-      const LinkOutcome& o = res.links[l];
-      if (o.streams == 0 || o.mcs_index < 0) continue;
-      if (dyn.use_rate_control) rate_ctl.observe(l, o.per < 0.5);
-      if (!inj || inj->csi_measurement_ok()) {
-        world.refresh_csi(scenario.links[l].tx_node,
-                          scenario.links[l].rx_node, dyn_rng);
+    if (live) {
+      for (std::size_t l = 0; l < n_links; ++l) {
+        const LinkOutcome& o = res.links[l];
+        if (o.streams == 0 || o.mcs_index < 0) continue;
+        if (dyn.use_rate_control) rate_ctl.observe(l, o.per < 0.5);
+        if (!inj || inj->csi_measurement_ok()) {
+          world.refresh_csi(scenario.links[l].tx_node,
+                            scenario.links[l].rx_node, *dyn_rng);
+        }
       }
     }
 
-    if (inj && any_unacked) {
+    if (any_unacked) {
       // Senders of un-ACKed frames wait out the ACK timeout before the
       // medium is contended again; the timer extends the busy period.
       const double timeout_at = busy_end_s + ack_timeout;
       sim.schedule_at(timeout_at, [&, timeout_at] {
         busy_end_s = timeout_at;
-        maybe_snapshot_and_chain(round_fn);
+        snapshot_and_chain(round_fn);
       });
-    } else if (inj) {
-      // Fully ACKed round: arm the same timeout, then cancel it — the
-      // concurrent ACK arrived first, so the timer must neither run nor
-      // age the clock (the cancellable-timer contract this session's
-      // accounting leans on).
-      const mac::TimerId tid = sim.schedule_at(
-          busy_end_s + ack_timeout, [&] {
-            assert(false && "cancelled ACK timeout must never fire");
-          });
-      sim.cancel(tid);
-      maybe_snapshot_and_chain(round_fn);
     } else {
-      maybe_snapshot_and_chain(round_fn);
+      snapshot_and_chain(round_fn);
     }
   };
 
@@ -486,22 +414,6 @@ SessionResult run_live_session(World& world, const Scenario& scenario,
                        out.rounds, out.duration_s);
   }
   return out;
-}
-
-}  // namespace
-
-SessionResult run_session(World& world, const Scenario& scenario,
-                          util::Rng& rng, const SessionConfig& config) {
-  config.validate();
-  if (!config.dynamics.active() && !config.faults.enabled() &&
-      config.scheme == Scheme::kNplus) {
-    // Exact static path (same draws, same trace): dynamics-off, fault-free
-    // n+ sessions on a mutable world are indistinguishable from the const
-    // overload.
-    return run_session(static_cast<const World&>(world), scenario, rng,
-                       config);
-  }
-  return run_live_session(world, scenario, rng, config);
 }
 
 }  // namespace nplus::sim

@@ -59,10 +59,10 @@ struct ChurnConfig {
 // --- The dynamics switchboard --------------------------------------------
 //
 // Everything time-varying about a session, in one struct so call sites read
-// as "this session is dynamic". Defaults are all-off, and active() == false
-// guarantees the session takes the EXACT static code path — same RNG draw
-// sequence, bit-identical traces to the pre-dynamics engine (the golden
-// fixtures pin this).
+// as "this session is dynamic". Defaults are all-off; with active() ==
+// false (and faults off, scheme kNplus) a session makes no dynamics draws —
+// same RNG draw sequence, bit-identical traces to the pre-dynamics engine
+// (the golden fixtures pin this).
 struct DynamicsConfig {
   MobilityConfig mobility{};               // node motion between rounds
   channel::EvolutionConfig evolution{};    // Doppler / coherence / shadowing
@@ -110,17 +110,16 @@ struct SessionConfig {
     return r;
   }();
   // Dynamic-network knobs (mobility, channel evolution, churn, adaptive
-  // rates). All-off by default; when active() the session needs the
-  // mutable-World overload of run_session below.
+  // rates). All-off by default; active() makes the session live (see
+  // run_session below).
   DynamicsConfig dynamics{};
-  // MAC scheme the rounds run (see Scheme). kDot11n needs the mutable-World
-  // overload (it shares the live-session driver).
+  // MAC scheme the rounds run (see Scheme). kDot11n sessions are live.
   Scheme scheme = Scheme::kNplus;
   // Fault injection + failure-aware MAC (sim/faults.h). Disabled by
-  // default; enabled() routes the session through the live driver with a
-  // FaultInjector wired into every round — per-frame retry chains, ACK
-  // timeouts, goodput-vs-throughput accounting. Disabled sessions take the
-  // EXACT pre-fault path: same draws, bit-identical traces (goldens).
+  // default; enabled() makes the session live and wires a FaultInjector
+  // into every round — per-frame retry chains, ACK timeouts,
+  // goodput-vs-throughput accounting. Disabled sessions make no fault
+  // draws: same draws, bit-identical traces (goldens).
   FaultConfig faults{};
   // Cooperative-cancellation hook for the watchdog layer
   // (util/supervisor.h): when set, the session polls the token at every
@@ -169,7 +168,7 @@ struct SessionResult {
   // deterministic and thread-count independent (util/quantile.h).
   util::QuantileSketch round_duration_q;
   std::vector<SessionSnapshot> series;
-  // Dynamics counters. On the static path idle_rounds is always 0 and
+  // Dynamics counters. Without churn or faults idle_rounds is always 0 and
   // mean_active_links equals the link count (everything is always on).
   std::size_t idle_rounds = 0;     // slots where churn left no active link
   double mean_active_links = 0.0;  // mean churn-mask popcount per round
@@ -193,37 +192,29 @@ struct SessionResult {
 // empty vector and 1 when every rate is zero (nobody is ahead of anybody).
 double jain_index(const std::vector<double>& xs);
 
-// Runs a session of `config.n_rounds` n+ rounds on `world`. Deterministic
-// in `rng` (rounds consume the stream in round order), so forked streams
-// make whole sessions reproducible under parallel dispatch.
+// Runs a session of `config.n_rounds` rounds on `world`. Deterministic in
+// `rng` (rounds consume the stream in round order), so forked streams make
+// whole sessions reproducible under parallel dispatch. With n_rounds == 0
+// it returns at once: zero rates for every link, no draws.
 //
-// Static-world overload: requires config.dynamics.active() == false,
-// config.faults.enabled() == false, and scheme == kNplus (asserted) — an
-// immutable world cannot move, and the failure-aware MAC needs the live
-// driver below.
-SessionResult run_session(const World& world, const Scenario& scenario,
-                          util::Rng& rng, const SessionConfig& config);
-
-// Dynamics-capable overload. When config.dynamics.active(), each round is
-// preceded by a physical-world step covering the previous round's airtime:
-// mobility advances node positions, World::advance applies the
-// Doppler-matched Gauss-Markov channel evolution and path-loss/shadowing
-// drift, churn re-draws the active-link mask, and after the round the
-// links that transmitted re-measure their reciprocal CSI (everyone else's
-// keeps aging). All dynamics randomness comes from a single stream forked
-// off `rng` at session start, so the trace is reproducible from (world
-// seed, session seed) exactly like the static path. With dynamics
-// inactive, faults disabled, and the n+ scheme this overload IS the static
-// path — same draws, same trace.
+// A session is *live* when config.dynamics.active(), config.faults.enabled()
+// or scheme == kDot11n. A live session forks one dynamics stream off `rng`
+// at start, and each round is preceded by a physical-world step covering the
+// previous round's airtime: mobility advances node positions,
+// World::advance applies the Doppler-matched Gauss-Markov channel evolution
+// and path-loss/shadowing drift, and churn re-draws the active-link mask.
+// After the round, the links that transmitted re-measure their reciprocal
+// CSI (everyone else's keeps aging). Any other session forks nothing and
+// never steps `world` or re-measures its CSI: it is the pre-dynamics draw
+// sequence exactly.
 //
 // With config.faults.enabled(), a FaultInjector (own forked stream) rides
 // the whole session: node outages mask links out of contention, header
 // losses gate joiners, every transmitted frame is realized
-// delivered/lost, un-ACKed frames cost an ACK timeout (cancellable
-// EventSim timer — cancelled whenever the round fully ACKed) and re-enter
-// contention with escalated windows until ACKed or dropped at the retry
-// limit. SessionResult then separates goodput from throughput and carries
-// the FaultStats counters.
+// delivered/lost, un-ACKed frames cost an ACK timeout (an EventSim timer
+// that extends the busy period) and re-enter contention with escalated
+// windows until ACKed or dropped at the retry limit. SessionResult then
+// separates goodput from throughput and carries the FaultStats counters.
 SessionResult run_session(World& world, const Scenario& scenario,
                           util::Rng& rng, const SessionConfig& config);
 

@@ -88,33 +88,22 @@ double ByteReader::f64() {
 
 void ByteReader::bytes(void* out, std::size_t n) {
   if (remaining() < n) throw CheckpointError("truncated record (bytes)");
+  if (n == 0) return;  // `out` may be an empty vector's null data()
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
 }
 
-void write_checkpoint_file(const std::string& path, const CheckpointData& d) {
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u32(kContainerVersion);
-  w.u32(d.version);
-  w.u64(d.header.size());
-  w.bytes(d.header.data(), d.header.size());
-  w.u64(d.items.size());
-  for (const auto& [index, blob] : d.items) {
-    w.u64(index);
-    w.u64(blob.size());
-    w.bytes(blob.data(), blob.size());
-  }
-  const std::vector<std::uint8_t>& body = w.data();
-  const std::uint32_t crc = crc32(body.data(), body.size());
-
+void write_sealed_file(const std::string& path,
+                       const std::vector<std::uint8_t>& payload) {
+  const std::uint32_t crc = crc32(payload.data(), payload.size());
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     throw CheckpointError("cannot open " + tmp + " for writing: " +
                           std::strerror(errno));
   }
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  bool ok =
+      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
   std::uint8_t tail[4];
   for (int i = 0; i < 4; ++i) tail[i] = static_cast<std::uint8_t>(crc >> (8 * i));
   ok = ok && std::fwrite(tail, 1, 4, f) == 4;
@@ -132,9 +121,13 @@ void write_checkpoint_file(const std::string& path, const CheckpointData& d) {
   }
 }
 
-std::optional<CheckpointData> read_checkpoint_file(const std::string& path) {
+std::optional<std::vector<std::uint8_t>> read_sealed_file(
+    const std::string& path, const char* kind, std::size_t min_size) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
+  const auto corrupt = [&](const std::string& why) {
+    throw CheckpointError(std::string(kind) + " " + path + ": " + why);
+  };
   std::vector<std::uint8_t> raw;
   std::uint8_t chunk[1 << 16];
   std::size_t got;
@@ -143,19 +136,44 @@ std::optional<CheckpointData> read_checkpoint_file(const std::string& path) {
   }
   const bool read_err = std::ferror(f) != 0;
   std::fclose(f);
-  if (read_err) corrupt(path, "read error");
-  if (raw.size() < 16) corrupt(path, "too short to be a checkpoint");
+  if (read_err) corrupt("read error");
+  if (raw.size() < min_size) {
+    corrupt("too short to be a " + std::string(kind) + " file");
+  }
 
   std::uint32_t stored_crc = 0;
   for (int i = 0; i < 4; ++i) {
     stored_crc |= static_cast<std::uint32_t>(raw[raw.size() - 4 + i]) << (8 * i);
   }
-  if (crc32(raw.data(), raw.size() - 4) != stored_crc) {
-    corrupt(path, "CRC mismatch (file is corrupt or torn)");
+  raw.resize(raw.size() - 4);
+  if (crc32(raw.data(), raw.size()) != stored_crc) {
+    corrupt("CRC mismatch (file is corrupt or torn)");
   }
+  return raw;
+}
+
+void write_checkpoint_file(const std::string& path, const CheckpointData& d) {
+  ByteWriter w;
+  w.u32(kMagic);
+  w.u32(kContainerVersion);
+  w.u32(d.version);
+  w.u64(d.header.size());
+  w.bytes(d.header.data(), d.header.size());
+  w.u64(d.items.size());
+  for (const auto& [index, blob] : d.items) {
+    w.u64(index);
+    w.u64(blob.size());
+    w.bytes(blob.data(), blob.size());
+  }
+  write_sealed_file(path, w.data());
+}
+
+std::optional<CheckpointData> read_checkpoint_file(const std::string& path) {
+  const auto payload = read_sealed_file(path, "checkpoint", 16);
+  if (!payload) return std::nullopt;
 
   try {
-    ByteReader r(raw.data(), raw.size() - 4);
+    ByteReader r(*payload);
     if (r.u32() != kMagic) {
       throw CheckpointError("bad magic (not a checkpoint file)");
     }

@@ -75,6 +75,23 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+// Sealed files: the tmp+rename writer and CRC-checked reader shared by
+// every on-disk container here (checkpoints, NPTR traces). The file is
+// `payload | crc32(payload)` (little-endian tail).
+//
+// Writes the sealed file to `<path>.tmp` and renames it over `path`, so a
+// kill mid-write leaves the previous complete file or none, never a torn
+// one. Throws CheckpointError on any I/O failure.
+void write_sealed_file(const std::string& path,
+                       const std::vector<std::uint8_t>& payload);
+// Reads `path` whole and verifies its CRC tail; returns the payload without
+// the tail, or nullopt if the file cannot be opened (errno says why).
+// Throws CheckpointError, prefixed "<kind> <path>: ", on a read error, a
+// file shorter than `min_size` bytes (tail included; >= 4), or a CRC
+// mismatch.
+std::optional<std::vector<std::uint8_t>> read_sealed_file(
+    const std::string& path, const char* kind, std::size_t min_size);
+
 // The decoded container contents.
 struct CheckpointData {
   std::uint32_t version = 0;  // app-level format version from the header

@@ -32,11 +32,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "util/rng.h"
@@ -90,22 +88,6 @@ class ThreadPool {
   // worker run inline.
   using IndexFn = std::function<void(std::size_t, std::size_t)>;
   void parallel_for(std::size_t begin, std::size_t end, const IndexFn& body);
-
-  // Per-thread-context variant: make_ctx(worker) is invoked at most once
-  // per participating worker (lazily, on its first iteration), and the
-  // returned context is reused for all of that worker's iterations —
-  // the hook for reusable PHY workspaces that keep the zero-allocation
-  // property per worker instead of per call.
-  template <typename MakeCtx, typename Body>
-  void parallel_for_ctx(std::size_t begin, std::size_t end, MakeCtx&& make_ctx,
-                        Body&& body) {
-    using Ctx = std::decay_t<decltype(make_ctx(std::size_t{0}))>;
-    std::vector<std::optional<Ctx>> ctxs(n_threads_);
-    parallel_for(begin, end, [&](std::size_t i, std::size_t w) {
-      if (!ctxs[w]) ctxs[w].emplace(make_ctx(w));
-      body(i, *ctxs[w]);
-    });
-  }
 
   // Process-wide pool, built lazily at default_thread_count() (or the last
   // set_global_threads value). Shared by the experiment harness whenever a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 namespace nplus::util {
@@ -104,64 +103,18 @@ void write_trace_file(const std::string& path,
     w.u64(rec.a);
     w.f64(rec.b);
   }
-  const std::vector<std::uint8_t>& body = w.data();
-  const std::uint32_t crc = crc32(body.data(), body.size());
-
-  // Same atomic-replace discipline as write_checkpoint_file: a kill
-  // mid-write leaves the previous complete trace or none, never a torn
-  // file.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw CheckpointError("cannot open " + tmp + " for writing: " +
-                          std::strerror(errno));
-  }
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::uint8_t tail[4];
-  for (int i = 0; i < 4; ++i) {
-    tail[i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  ok = ok && std::fwrite(tail, 1, 4, f) == 4;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("cannot rename " + tmp + " over " + path + ": " +
-                          std::strerror(errno));
-  }
+  write_sealed_file(path, w.data());
 }
 
 std::vector<TraceRecord> read_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const auto payload = read_sealed_file(path, "trace", 20);
+  if (!payload) {
     throw CheckpointError("cannot open trace " + path + ": " +
                           std::strerror(errno));
   }
-  std::vector<std::uint8_t> raw;
-  std::uint8_t chunk[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    raw.insert(raw.end(), chunk, chunk + got);
-  }
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) corrupt(path, "read error");
-  if (raw.size() < 20) corrupt(path, "too short to be a trace file");
-
-  std::uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |=
-        static_cast<std::uint32_t>(raw[raw.size() - 4 + i]) << (8 * i);
-  }
-  if (crc32(raw.data(), raw.size() - 4) != stored_crc) {
-    corrupt(path, "CRC mismatch (file is corrupt or torn)");
-  }
 
   try {
-    ByteReader r(raw.data(), raw.size() - 4);
+    ByteReader r(*payload);
     if (r.u32() != kTraceMagic) {
       throw CheckpointError("bad magic (not a trace file)");
     }

@@ -27,8 +27,8 @@
 // what lets tracing stay always-on at city scale. `emitted()`/`dropped()`
 // make truncation visible instead of silent.
 //
-// The on-disk format reuses the util::checkpoint machinery (little-endian
-// ByteWriter, trailing crc32, atomic tmp+rename):
+// The on-disk format is a util::checkpoint sealed file (little-endian
+// ByteWriter payload, trailing crc32, atomic tmp+rename):
 //
 //   magic "NPTR" | format version u32 | record count u64
 //     | records (40 bytes each) | crc32(everything before)

@@ -17,6 +17,7 @@
 
 #include "phy/link_abstraction.h"
 #include "phy/mcs.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/faults.h"
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
@@ -73,27 +74,30 @@ void expect_sessions_equal(const sim::SessionResult& a,
 
 // --- Determinism contracts ----------------------------------------------
 
-TEST(Faults, DisabledConfigTakesTheExactStaticPath) {
-  // A default FaultConfig must not change the faults-off trace in any way:
-  // the mutable-World overload with faults{} routes to the static engine,
-  // draw for draw. (tests/golden pins the static engine itself, so
-  // together these pin faults-off == pre-fault behavior.)
+TEST(Faults, DisabledConfigIsTheAllOffSession) {
+  // A FaultConfig whose enabled() is false — whatever its inert knobs say
+  // — builds no injector and makes no fault draws: it reproduces the
+  // default session on a twin world draw for draw. (tests/golden pins the
+  // all-off draw sequence itself.)
   util::Rng t(1);
   const sim::GeneratedTopology topo =
       sim::make_preset(sim::Preset::kThreePair, t);
   sim::SessionConfig cfg;
   cfg.n_rounds = 30;
-  ASSERT_FALSE(cfg.faults.enabled());
+  sim::SessionConfig inert = cfg;
+  inert.faults.header_fallback_defer = false;
+  inert.faults.node_recovery_hz = 9.0;
+  inert.faults.retry_limit = 3;
+  ASSERT_FALSE(inert.faults.enabled());
 
   util::Rng w1(5), s1(6);
-  const sim::World world_static = sim::make_world(topo, w1);
+  sim::World world = sim::make_world(topo, w1);
   const sim::SessionResult a =
-      sim::run_session(world_static, topo.scenario, s1, cfg);
-
+      sim::run_session(world, topo.scenario, s1, cfg);
   util::Rng w2(5), s2(6);
-  sim::World world_mut = sim::make_world(topo, w2);
+  sim::World twin = sim::make_world(topo, w2);
   const sim::SessionResult b =
-      sim::run_session(world_mut, topo.scenario, s2, cfg);
+      sim::run_session(twin, topo.scenario, s2, inert);
   expect_sessions_equal(a, b);
   // Faults-off accounting invariants: goodput == throughput exactly, no
   // fault counters touched.
@@ -123,9 +127,16 @@ TEST(Faults, BitIdenticalAcrossThreadCounts) {
         i == 2 ? sim::Scheme::kDot11n : sim::Scheme::kNplus;
     items.push_back(item);
   }
-  const auto r1 = sim::run_generated_sessions(items, 77, 1);
-  const auto r3 = sim::run_generated_sessions(items, 77, 3);
-  const auto rn = sim::run_generated_sessions(items, 77, 0);
+  const auto run_sweep = [&](std::size_t threads) {
+    sim::RunnerConfig cfg;
+    cfg.supervisor.n_threads = threads;
+    sim::SweepOutcome out = sim::CheckpointedRunner(items, 77, cfg).run();
+    EXPECT_TRUE(out.complete()) << out.report.summary();
+    return out.results;
+  };
+  const auto r1 = run_sweep(1);
+  const auto r3 = run_sweep(3);
+  const auto rn = run_sweep(0);
   ASSERT_EQ(r1.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     expect_sessions_equal(r1[i], r3[i]);

@@ -216,7 +216,7 @@ ModePair run_both_modes(sim::Preset preset, std::uint64_t seed,
     util::Rng world_rng = rng.fork(11);
     util::Rng session_rng = rng.fork(12);
     const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
-    const sim::World world = sim::make_world(topo, world_rng);
+    sim::World world = sim::make_world(topo, world_rng);
     sim::SessionConfig cfg;
     cfg.n_rounds = n_rounds;
     cfg.round.fidelity =
@@ -342,7 +342,7 @@ TEST(LazyWorld, SessionsReproduceAcrossInstances) {
   for (int i = 0; i < 2; ++i) {
     util::Rng wr = world_base.duplicate();
     util::Rng sr = session_base.duplicate();
-    const sim::World w = sim::make_world(topo, wr, cfg);
+    sim::World w = sim::make_world(topo, wr, cfg);
     sim::SessionConfig scfg;
     scfg.n_rounds = 20;
     res[i] = sim::run_session(w, topo.scenario, sr, scfg);
@@ -369,7 +369,7 @@ TEST(LazyWorld, LargeWorldSessionRunsCheaply) {
   const sim::GeneratedTopology topo = sim::generate_topology(gen, topo_rng);
   sim::WorldConfig cfg;
   cfg.lazy_channels = true;
-  const sim::World world = sim::make_world(topo, world_rng, cfg);
+  sim::World world = sim::make_world(topo, world_rng, cfg);
   sim::SessionConfig scfg;
   scfg.n_rounds = 8;
   const sim::SessionResult res =

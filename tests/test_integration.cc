@@ -84,10 +84,12 @@ TEST(Throughput, NplusBeatsDot11nInTotal) {
   cfg.rounds_per_placement = 4;
   cfg.seed = 7;
   cfg.round.include_overheads = false;  // the paper's accounting
-  const auto res = run_experiment(
+  const SupervisedExperiment exp = run_experiment(
       tb, sc, cfg,
       {make_nplus_round_fn(sc, cfg.round),
        baselines::make_dot11n_round_fn(sc, cfg.round)});
+  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
+  const std::vector<MethodResult>& res = exp.methods;
   double nplus = 0.0, dot11n = 0.0;
   for (std::size_t p = 0; p < cfg.n_placements; ++p) {
     nplus += res[0].samples[p].total_mbps;
@@ -107,10 +109,12 @@ TEST(Throughput, GainsOrderedByAntennaCount) {
   cfg.rounds_per_placement = 4;
   cfg.seed = 13;
   cfg.round.include_overheads = false;
-  const auto res = run_experiment(
+  const SupervisedExperiment exp = run_experiment(
       tb, sc, cfg,
       {make_nplus_round_fn(sc, cfg.round),
        baselines::make_dot11n_round_fn(sc, cfg.round)});
+  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
+  const std::vector<MethodResult>& res = exp.methods;
   double n[3] = {0, 0, 0}, b[3] = {0, 0, 0};
   for (std::size_t p = 0; p < cfg.n_placements; ++p) {
     for (int l = 0; l < 3; ++l) {
@@ -136,10 +140,12 @@ TEST(Throughput, SingleAntennaTaxSmall) {
   cfg.rounds_per_placement = 4;
   cfg.seed = 21;
   cfg.round.include_overheads = false;
-  const auto res = run_experiment(
+  const SupervisedExperiment exp = run_experiment(
       tb, sc, cfg,
       {make_nplus_round_fn(sc, cfg.round),
        baselines::make_dot11n_round_fn(sc, cfg.round)});
+  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
+  const std::vector<MethodResult>& res = exp.methods;
   double n = 0.0, b = 0.0;
   for (std::size_t p = 0; p < cfg.n_placements; ++p) {
     n += res[0].samples[p].per_link_mbps[0];

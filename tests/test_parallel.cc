@@ -26,8 +26,13 @@ std::size_t many_threads() {
   return hw > 1 ? hw : 4;
 }
 
-void expect_identical(const std::vector<MethodResult>& a,
-                      const std::vector<MethodResult>& b) {
+// Both runs must complete every placement and agree sample for sample.
+void expect_identical(const SupervisedExperiment& ea,
+                      const SupervisedExperiment& eb) {
+  ASSERT_TRUE(ea.report.all_ok()) << ea.report.summary();
+  ASSERT_TRUE(eb.report.all_ok()) << eb.report.summary();
+  const std::vector<MethodResult>& a = ea.methods;
+  const std::vector<MethodResult>& b = eb.methods;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t m = 0; m < a.size(); ++m) {
     ASSERT_EQ(a[m].samples.size(), b[m].samples.size());
@@ -57,11 +62,11 @@ TEST(ParallelDeterminism, RunExperimentBitIdenticalAcrossThreadCounts) {
       baselines::make_dot11n_round_fn(sc, cfg.round)};
 
   cfg.n_threads = 1;
-  const auto serial = run_experiment(tb, sc, cfg, methods);
+  const SupervisedExperiment serial = run_experiment(tb, sc, cfg, methods);
   cfg.n_threads = many_threads();
-  const auto parallel = run_experiment(tb, sc, cfg, methods);
+  const SupervisedExperiment parallel = run_experiment(tb, sc, cfg, methods);
   cfg.n_threads = 3;  // odd count -> uneven shards
-  const auto odd = run_experiment(tb, sc, cfg, methods);
+  const SupervisedExperiment odd = run_experiment(tb, sc, cfg, methods);
 
   expect_identical(serial, parallel);
   expect_identical(serial, odd);
@@ -165,8 +170,8 @@ TEST(ParallelDeterminism, RepeatedParallelRunsIdentical) {
   cfg.seed = 77;
   cfg.n_threads = many_threads();
   const std::vector<RoundFn> methods = {make_nplus_round_fn(sc, cfg.round)};
-  const auto a = run_experiment(tb, sc, cfg, methods);
-  const auto b = run_experiment(tb, sc, cfg, methods);
+  const SupervisedExperiment a = run_experiment(tb, sc, cfg, methods);
+  const SupervisedExperiment b = run_experiment(tb, sc, cfg, methods);
   expect_identical(a, b);
 }
 

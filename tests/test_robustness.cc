@@ -266,6 +266,26 @@ std::vector<std::uint8_t> result_bytes(
   return w.take();
 }
 
+// The reference the sweep executor must reproduce: a serial loop over the
+// documented fork structure (item i takes Rng(seed).fork(i + 1), then
+// topology/world/session forks 1/2/3 of it).
+std::vector<SessionResult> reference_sweep(
+    const std::vector<SweepItem>& items, std::uint64_t seed) {
+  util::Rng master(seed);
+  std::vector<SessionResult> out;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    util::Rng rng = master.fork(i + 1);
+    util::Rng gen_rng = rng.fork(1);
+    util::Rng world_rng = rng.fork(2);
+    util::Rng session_rng = rng.fork(3);
+    const GeneratedTopology topo = generate_topology(items[i].gen, gen_rng);
+    World world = make_world(topo, world_rng, items[i].world);
+    out.push_back(
+        run_session(world, topo.scenario, session_rng, items[i].session));
+  }
+  return out;
+}
+
 // Scoped temp file under the ctest working directory.
 struct TempFile {
   std::string path;
@@ -416,6 +436,25 @@ TEST(Audit, RealSessionPassesCleanly) {
   EXPECT_NO_THROW(audit_session_or_throw(result, ctx));
 }
 
+TEST(Audit, ZeroRoundSessionPassesCleanly) {
+  // A zero-round session reports a zero rate for every link in both the
+  // throughput and the goodput vector, and passes the audit.
+  util::Rng rng(11);
+  util::Rng gen_rng = rng.fork(1);
+  util::Rng world_rng = rng.fork(2);
+  util::Rng session_rng = rng.fork(3);
+  const SweepItem item = small_item(3, 0);
+  const GeneratedTopology topo = generate_topology(item.gen, gen_rng);
+  World world = make_world(topo, world_rng);
+  const SessionResult result =
+      run_session(world, topo.scenario, session_rng, item.session);
+  EXPECT_EQ(result.rounds, 0u);
+  EXPECT_EQ(result.per_link_mbps, std::vector<double>(3, 0.0));
+  EXPECT_EQ(result.per_link_goodput_mbps, std::vector<double>(3, 0.0));
+  const AuditContext ctx = make_audit_context(topo.scenario, item.session);
+  EXPECT_TRUE(audit_session(result, ctx).empty());
+}
+
 TEST(Audit, CatchesSeededViolations) {
   util::Rng rng(11);
   util::Rng gen_rng = rng.fork(1);
@@ -456,6 +495,11 @@ TEST(Audit, CatchesSeededViolations) {
     }
   }
   {
+    SessionResult r = clean;  // goodput vector shorter than the link list
+    r.per_link_goodput_mbps.pop_back();
+    EXPECT_FALSE(audit_session(r, ctx).empty());
+  }
+  {
     SessionResult r = clean;  // busy airtime above the elapsed clock
     r.duration_s = r.round_duration.mean() *
                        static_cast<double>(r.round_duration.count()) * 0.5;
@@ -464,11 +508,10 @@ TEST(Audit, CatchesSeededViolations) {
   }
 }
 
-TEST(CheckpointRunner, FreshRunMatchesUnsupervisedSweep) {
+TEST(CheckpointRunner, FreshRunMatchesReferenceLoop) {
   const std::vector<SweepItem> items(4, small_item());
   const std::uint64_t seed = 21;
-  const std::vector<SessionResult> expected =
-      run_generated_sessions(items, seed, 2);
+  const std::vector<SessionResult> expected = reference_sweep(items, seed);
   RunnerConfig cfg;
   cfg.supervisor.n_threads = 2;
   CheckpointedRunner runner(items, seed, cfg);
@@ -484,7 +527,7 @@ TEST(CheckpointRunner, KillAtCheckpointThenResumeIsByteIdentical) {
   const std::vector<SweepItem> items(6, small_item());
   const std::uint64_t seed = 33;
   const std::vector<SessionResult> uninterrupted =
-      run_generated_sessions(items, seed, 1);
+      reference_sweep(items, seed);
   const std::vector<std::uint8_t> expected = result_bytes(uninterrupted);
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
@@ -603,30 +646,42 @@ TEST(CheckpointRunner, MismatchedSweepIsRejected) {
   EXPECT_THROW(runner.run(), util::CheckpointError);
 }
 
-TEST(RunnerSupervised, MatchesBareExperimentWhenNothingFails) {
+TEST(RunnerSupervised, FailedPlacementsKeepZeroedSamples) {
+  // A placement that throws is quarantined, not rethrown: every method's
+  // sample for it stays zeroed (even a method that finished before the
+  // failing one) and completed[p] == 0 flags it; healthy runs complete.
   const channel::Testbed testbed;
   const Scenario scenario = three_pair_scenario();
   ExperimentConfig cfg;
-  cfg.n_placements = 6;
+  cfg.n_placements = 4;
   cfg.rounds_per_placement = 2;
   cfg.seed = 9;
   cfg.n_threads = 2;
-  const std::vector<RoundFn> methods = {
-      make_nplus_round_fn(scenario, cfg.round)};
-  const std::vector<MethodResult> bare =
-      run_experiment(testbed, scenario, cfg, methods);
-  const SupervisedExperiment sup =
-      run_experiment_supervised(testbed, scenario, cfg, methods);
-  EXPECT_TRUE(sup.report.all_ok());
-  ASSERT_EQ(sup.methods.size(), bare.size());
-  for (std::size_t m = 0; m < bare.size(); ++m) {
-    ASSERT_EQ(sup.methods[m].samples.size(), bare[m].samples.size());
-    for (std::size_t p = 0; p < bare[m].samples.size(); ++p) {
-      EXPECT_EQ(sup.methods[m].samples[p].total_mbps,
-                bare[m].samples[p].total_mbps);
-      EXPECT_EQ(sup.methods[m].samples[p].per_link_mbps,
-                bare[m].samples[p].per_link_mbps);
-      EXPECT_TRUE(sup.completed[p]);
+  const RoundFn nplus = make_nplus_round_fn(scenario, cfg.round);
+  const RoundFn broken = [](const World&, util::Rng&) -> GenericRound {
+    throw std::runtime_error("round exploded");
+  };
+
+  const SupervisedExperiment ok =
+      run_experiment(testbed, scenario, cfg, {nplus});
+  EXPECT_TRUE(ok.report.all_ok());
+  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
+    EXPECT_TRUE(ok.completed[p]);
+    EXPECT_EQ(ok.methods[0].samples[p].per_link_mbps.size(),
+              scenario.links.size());
+  }
+
+  const SupervisedExperiment failed =
+      run_experiment(testbed, scenario, cfg, {nplus, broken});
+  EXPECT_EQ(failed.report.failures.size(), cfg.n_placements);
+  EXPECT_NE(failed.report.summary().find("round exploded"),
+            std::string::npos);
+  ASSERT_EQ(failed.methods.size(), 2u);
+  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
+    EXPECT_FALSE(failed.completed[p]);
+    for (const MethodResult& m : failed.methods) {
+      EXPECT_EQ(m.samples[p].total_mbps, 0.0);
+      EXPECT_TRUE(m.samples[p].per_link_mbps.empty());
     }
   }
 }

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "sim/checkpoint_runner.h"
 #include "sim/round.h"
 #include "sim/scenario_gen.h"
 #include "sim/scenarios.h"
@@ -258,7 +262,7 @@ class SessionSuite : public ::testing::Test {
 };
 
 TEST_F(SessionSuite, RunsRequestedRoundsWithSeries) {
-  const World w = preset_world(20);
+  World w = preset_world(20);
   SessionConfig cfg;
   cfg.n_rounds = 40;
   cfg.snapshot_every = 10;
@@ -289,8 +293,8 @@ TEST_F(SessionSuite, DeterministicForSameStream) {
   // mutable RNG stream, so re-running a session on the SAME world object
   // continues that stream — reproducibility is (world seed, session seed),
   // not the session seed alone.
-  const World wa = preset_world(22);
-  const World wb = preset_world(22);
+  World wa = preset_world(22);
+  World wb = preset_world(22);
   SessionConfig cfg;
   cfg.n_rounds = 15;
   util::Rng r1(23), r2(23);
@@ -302,7 +306,7 @@ TEST_F(SessionSuite, DeterministicForSameStream) {
 }
 
 TEST_F(SessionSuite, HorizonCapsTheSession) {
-  const World w = preset_world(24);
+  World w = preset_world(24);
   SessionConfig cfg;
   cfg.n_rounds = 100000;
   cfg.max_duration_s = 20e-3;  // ~a dozen rounds fit
@@ -323,8 +327,8 @@ TEST_F(SessionSuite, MatchesManualRoundLoopExactly) {
   // world, whose estimate() draws advance per round), a hand-rolled loop
   // must reproduce its totals bit-for-bit (the scheduling adds/loses
   // nothing).
-  const World wa = preset_world(26);
-  const World wb = preset_world(26);
+  World wa = preset_world(26);
+  World wb = preset_world(26);
   SessionConfig cfg;
   cfg.n_rounds = 25;
   cfg.snapshot_every = 0;
@@ -347,7 +351,7 @@ TEST_F(SessionSuite, DcfSessionMatchesPaperPathWithinNoise) {
   // new engine (multi-round session, real DCF backoff), reproduces the
   // paper-faithful run_nplus_round path (random-winner methodology) within
   // noise. Same world, both with full MAC overheads.
-  const World w = preset_world(28);
+  World w = preset_world(28);
   SessionConfig cfg;
   cfg.n_rounds = 250;
   cfg.snapshot_every = 0;
@@ -375,7 +379,7 @@ TEST_F(SessionSuite, ExposedTerminalSustainsConcurrency) {
   // single-antenna link wins the primary contention (~half the rounds), the
   // two-antenna link should join over the spare DoF instead of staying
   // serialized.
-  const World w = preset_world(31, Preset::kExposedTerminal);
+  World w = preset_world(31, Preset::kExposedTerminal);
   SessionConfig cfg;
   cfg.n_rounds = 60;
   cfg.snapshot_every = 0;
@@ -387,6 +391,18 @@ TEST_F(SessionSuite, ExposedTerminalSustainsConcurrency) {
 
 // --- Parallel sweep -----------------------------------------------------
 
+// Runs a sweep through the sweep executor at `threads` workers (0 = global
+// pool); every item must complete.
+std::vector<SessionResult> run_sweep(const std::vector<SweepItem>& items,
+                                     std::uint64_t seed,
+                                     std::size_t threads) {
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = threads;
+  SweepOutcome out = CheckpointedRunner(items, seed, cfg).run();
+  EXPECT_TRUE(out.complete()) << out.report.summary();
+  return std::move(out.results);
+}
+
 TEST(GeneratedSweep, BitIdenticalAcrossThreadCounts) {
   SweepItem item;
   item.gen.n_links = 3;
@@ -395,9 +411,9 @@ TEST(GeneratedSweep, BitIdenticalAcrossThreadCounts) {
   std::vector<SweepItem> items(3, item);
   items[1].gen.n_links = 5;
   items[2].gen.pattern = LinkPattern::kApDownlink;
-  const auto a = run_generated_sessions(items, 2026, 1);
-  const auto b = run_generated_sessions(items, 2026, 2);
-  const auto c = run_generated_sessions(items, 2026, 5);
+  const auto a = run_sweep(items, 2026, 1);
+  const auto b = run_sweep(items, 2026, 2);
+  const auto c = run_sweep(items, 2026, 5);
   ASSERT_EQ(a.size(), 3u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].total_mbps, b[i].total_mbps);
@@ -417,7 +433,7 @@ TEST(GeneratedSweep, ScalesToLargerWorlds) {
   item.gen.rx_mix.weights = {0.4, 0.3, 0.2, 0.1};
   item.session.n_rounds = 4;
   item.session.snapshot_every = 0;
-  const auto res = run_generated_sessions({item}, 5, 0);
+  const auto res = run_sweep({item}, 5, 0);
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].rounds, 4u);
   EXPECT_EQ(res[0].per_link_mbps.size(), 25u);

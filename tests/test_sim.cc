@@ -352,10 +352,12 @@ TEST(Runner, SamplesHaveExpectedShape) {
   ExperimentConfig cfg;
   cfg.n_placements = 5;
   cfg.rounds_per_placement = 2;
-  const auto results = run_experiment(
+  const SupervisedExperiment exp = run_experiment(
       tb, sc, cfg,
       {make_nplus_round_fn(sc, cfg.round),
        baselines::make_dot11n_round_fn(sc, cfg.round)});
+  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
+  const std::vector<MethodResult>& results = exp.methods;
   ASSERT_EQ(results.size(), 2u);
   for (const auto& m : results) {
     ASSERT_EQ(m.samples.size(), 5u);
@@ -375,12 +377,14 @@ TEST(Runner, DeterministicAcrossRuns) {
   cfg.n_placements = 3;
   cfg.rounds_per_placement = 2;
   cfg.seed = 77;
-  const auto a = run_experiment(tb, sc, cfg,
-                                {make_nplus_round_fn(sc, cfg.round)});
-  const auto b = run_experiment(tb, sc, cfg,
-                                {make_nplus_round_fn(sc, cfg.round)});
+  const SupervisedExperiment a =
+      run_experiment(tb, sc, cfg, {make_nplus_round_fn(sc, cfg.round)});
+  const SupervisedExperiment b =
+      run_experiment(tb, sc, cfg, {make_nplus_round_fn(sc, cfg.round)});
+  ASSERT_TRUE(a.report.all_ok() && b.report.all_ok());
   for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_DOUBLE_EQ(a[0].samples[p].total_mbps, b[0].samples[p].total_mbps);
+    EXPECT_DOUBLE_EQ(a.methods[0].samples[p].total_mbps,
+                     b.methods[0].samples[p].total_mbps);
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for util::ThreadPool: coverage, stealing under imbalance, nested
-// dispatch, per-thread contexts, exception propagation, and the global-pool
+// dispatch, exception propagation, and the global-pool
 // configuration knobs. These run under the `tsan` ctest label so a
 // ThreadSanitizer build (cmake -DNPLUS_SANITIZE=thread) exercises them.
 #include <gtest/gtest.h>
@@ -97,27 +97,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     });
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PerThreadContextReused) {
-  ThreadPool pool(3);
-  std::atomic<int> built{0};
-  struct Ctx {
-    std::atomic<int>* built;
-    int visits = 0;
-    explicit Ctx(std::atomic<int>* b) : built(b) { built->fetch_add(1); }
-  };
-  std::atomic<int> total_visits{0};
-  pool.parallel_for_ctx(
-      0, 500, [&](std::size_t) { return Ctx(&built); },
-      [&](std::size_t, Ctx& ctx) {
-        ++ctx.visits;
-        total_visits.fetch_add(1, std::memory_order_relaxed);
-      });
-  EXPECT_EQ(total_visits.load(), 500);
-  // At most one context per worker, and at least one worker participated.
-  EXPECT_GE(built.load(), 1);
-  EXPECT_LE(built.load(), 3);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
