@@ -1,22 +1,25 @@
-// nplus-bench: one driver, any scenario, one canonical JSON schema.
+// nplus-bench: the one sweep driver — every study is a config file, and
+// every result has one canonical JSON schema.
 //
-// The 16 figure/sweep binaries each invent their own output format, which
-// is exactly why CI can diff them only for determinism, never for speed.
-// This driver runs a sweep described by a small config file (see
-// bench/configs/*.cfg and bench/README.md) and emits the ONE schema
-// (`nplus-bench-v1`) that scripts/bench_compare.py understands — so adding
-// a perf-gated scenario means adding a config file, not a binary.
+// The large-scale n+ studies (topology scale, Doppler and churn, the
+// abstraction's fidelity ladder, fault degradation) are config files in
+// bench/configs/*.cfg, not binaries. This driver runs the sweep a config
+// describes and emits the ONE schema (`nplus-bench-v1`) that
+// scripts/bench_compare.py understands.
 //
 //   ./nplus-bench CONFIG.cfg [--out FILE] [--trace FILE] [--timing FILE]
 //                 [--threads N] [--checkpoint FILE] [--resume FILE]
 //                 [--checkpoint-every K] [--watchdog SECONDS] [--retries N]
 //                 [--kill-after N]
 //
-// Config format: `key = value` lines, '#' comments. Grid axes (n_links,
-// placement, fidelity) take comma-separated lists; the sweep is their
-// cartesian product with `worlds_per_point` generated worlds per point,
-// flattened in config order — that flat order is the determinism contract
-// (item i's randomness is forked from the master seed before dispatch).
+// Config format (bench/README.md is the key reference): `key = value`
+// lines, '#' comments. Every key that sets a sweep-item field takes a comma
+// list; the grid is the cartesian product of the list-valued keys, nested
+// in the order they appear in the file (the first list is outermost), with
+// `worlds_per_point` generated worlds per point. That flat order is the
+// determinism contract: item i forks stream i of the master seed, or, with
+// `paired = true`, world w of every point forks stream w (common random
+// numbers: the same topology, world and session draws at every point).
 //
 // Output discipline (the properties CI leans on):
 //   * The results JSON (--out) contains ONLY simulation quantities — no
@@ -31,11 +34,14 @@
 //     never into the results JSON.
 //
 // The sweep runs under sim::CheckpointedRunner: quarantined failures exit
-// 3 (partial JSON), --checkpoint/--resume give kill-safe restarts, and
+// 3 (partial JSON), --checkpoint/--resume give kill-safe restarts that
+// reproduce the uninterrupted JSON and trace byte for byte, and
 // --kill-after N is the CI chaos hook (hard exit 42).
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,30 +64,6 @@ double now_s() {
 }
 
 // --- Config file ---------------------------------------------------------
-
-struct BenchConfig {
-  std::string name;
-  std::uint64_t seed = 7;
-  std::size_t rounds = 40;
-  std::size_t worlds_per_point = 1;
-  std::size_t snapshot_every = 0;
-  std::vector<std::size_t> n_links = {3};
-  std::vector<std::string> placement = {"uniform"};
-  std::vector<std::string> fidelity = {"abstracted"};
-  std::string pattern = "peer";
-  std::string scheme = "nplus";
-  std::string mobility = "static";
-  bool include_overheads = true;
-  bool lazy_channels = false;
-  bool rate_control = false;
-  double inter_round_gap_s = 0.0;
-  double env_doppler_hz = 0.0;
-  double flow_arrival_hz = 0.0;
-  double flow_departure_hz = 0.0;
-  double node_leave_hz = 0.0;
-  double node_return_hz = 0.0;
-  std::size_t ring_capacity = 512;
-};
 
 [[noreturn]] void bad_config(const std::string& why) {
   throw util::UsageError("config: " + why);
@@ -144,15 +126,182 @@ bool parse_bool(const std::string& key, const std::string& v) {
   bad_config(key + ": expected true or false, got '" + v + "'");
 }
 
-void check_choice(const std::string& key, const std::string& v,
-                  std::initializer_list<const char*> allowed) {
-  for (const char* a : allowed) {
-    if (v == a) return;
-  }
-  std::string msg = key + ": unknown value '" + v + "' (expected one of";
-  for (const char* a : allowed) msg += std::string(" ") + a;
-  bad_config(msg + ")");
+// One parsed list element: the token it prints as in the JSON, and the
+// value its setter reads (`word` for choices and booleans).
+struct Value {
+  std::string json;
+  std::string word;
+  double num = 0.0;
+  std::size_t count = 0;
+};
+
+enum class Kind { kSize, kNumber, kBool, kChoice };
+
+// A key that sets one sweep-item field; every such key takes a list.
+struct ItemKey {
+  const char* name;
+  Kind kind;
+  std::vector<std::string> choices;  // kChoice only
+  void (*set)(sim::SweepItem&, const Value&);
+};
+
+using Item = sim::SweepItem;
+
+const std::vector<ItemKey>& item_keys() {
+  static const std::vector<ItemKey> keys = {
+      {"n_links", Kind::kSize, {},
+       [](Item& it, const Value& v) { it.gen.n_links = v.count; }},
+      {"placement", Kind::kChoice, {"uniform", "clustered"},
+       [](Item& it, const Value& v) {
+         it.gen.placement = v.word == "clustered"
+                                ? sim::PlacementMode::kClustered
+                                : sim::PlacementMode::kUniform;
+       }},
+      {"fidelity", Kind::kChoice, {"abstracted", "full"},
+       [](Item& it, const Value& v) {
+         it.session.round.fidelity = v.word == "full"
+                                         ? sim::Fidelity::kFullPhy
+                                         : sim::Fidelity::kAbstracted;
+       }},
+      {"pattern", Kind::kChoice, {"peer", "ap"},
+       [](Item& it, const Value& v) {
+         it.gen.pattern = v.word == "ap" ? sim::LinkPattern::kApDownlink
+                                         : sim::LinkPattern::kPeerPairs;
+       }},
+      {"scheme", Kind::kChoice, {"nplus", "dot11n"},
+       [](Item& it, const Value& v) {
+         it.session.scheme =
+             v.word == "dot11n" ? sim::Scheme::kDot11n : sim::Scheme::kNplus;
+       }},
+      {"mobility", Kind::kChoice, {"static", "pedestrian", "fast"},
+       [](Item& it, const Value& v) {
+         sim::MobilityConfig& m = it.session.dynamics.mobility;
+         if (v.word == "static") return;
+         m.model = sim::MobilityModel::kRandomWaypoint;
+         if (v.word == "fast") {
+           m.speed_min_mps = 3.0;
+           m.speed_max_mps = 8.0;
+           m.pause_s = 0.5;
+         }
+       }},
+      {"rounds", Kind::kSize, {},
+       [](Item& it, const Value& v) { it.session.n_rounds = v.count; }},
+      {"snapshot_every", Kind::kSize, {},
+       [](Item& it, const Value& v) { it.session.snapshot_every = v.count; }},
+      {"include_overheads", Kind::kBool, {},
+       [](Item& it, const Value& v) {
+         it.session.round.include_overheads = v.word == "true";
+       }},
+      {"lazy_channels", Kind::kBool, {},
+       [](Item& it, const Value& v) {
+         it.world.lazy_channels = v.word == "true";
+       }},
+      {"rate_control", Kind::kBool, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.use_rate_control = v.word == "true";
+       }},
+      {"inter_round_gap_s", Kind::kNumber, {},
+       [](Item& it, const Value& v) { it.session.inter_round_gap_s = v.num; }},
+      {"env_doppler_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.evolution.env_doppler_hz = v.num;
+       }},
+      {"flow_arrival_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.churn.flow_arrival_hz = v.num;
+       }},
+      {"flow_departure_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.churn.flow_departure_hz = v.num;
+       }},
+      {"node_leave_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.churn.node_leave_hz = v.num;
+       }},
+      {"node_return_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.dynamics.churn.node_return_hz = v.num;
+       }},
+      {"header_loss_rate", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.header_loss_rate = v.num;
+       }},
+      {"ack_loss_rate", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.ack_loss_rate = v.num;
+       }},
+      {"node_outage_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.node_outage_hz = v.num;
+       }},
+      {"node_recovery_hz", Kind::kNumber, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.node_recovery_hz = v.num;
+       }},
+      {"mac_recovery", Kind::kBool, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.mac_recovery = v.word == "true";
+       }},
+      {"header_fallback_defer", Kind::kBool, {},
+       [](Item& it, const Value& v) {
+         it.session.faults.header_fallback_defer = v.word == "true";
+       }},
+  };
+  return keys;
 }
+
+Value parse_value(const ItemKey& key, const std::string& word) {
+  Value v;
+  v.word = word;
+  switch (key.kind) {
+    case Kind::kSize:
+      v.count = parse_size(key.name, word);
+      v.json = std::to_string(v.count);
+      break;
+    case Kind::kNumber:
+      v.num = parse_double(key.name, word);
+      v.json = util::json_double(v.num);
+      break;
+    case Kind::kBool:
+      v.json = parse_bool(key.name, word) ? "true" : "false";
+      break;
+    case Kind::kChoice: {
+      bool known = false;
+      for (const std::string& c : key.choices) known = known || c == word;
+      if (!known) {
+        std::string msg = std::string(key.name) + ": unknown value '" + word +
+                          "' (expected one of";
+        for (const std::string& c : key.choices) msg += " " + c;
+        bad_config(msg + ")");
+      }
+      v.json = "\"" + util::json_escape(word) + "\"";
+      break;
+    }
+  }
+  return v;
+}
+
+// An item key as the file set it; more than one value makes it a grid axis.
+struct Setting {
+  const ItemKey* key = nullptr;
+  std::vector<Value> values;
+};
+
+struct BenchConfig {
+  std::string name;
+  std::uint64_t seed = 7;
+  std::size_t worlds_per_point = 1;
+  std::size_t ring_capacity = 512;
+  bool paired = false;
+  std::vector<Setting> settings;  // file order = grid nesting order
+
+  bool is_axis(const std::string& key) const {
+    for (const Setting& s : settings) {
+      if (key == s.key->name) return s.values.size() > 1;
+    }
+    return false;
+  }
+};
 
 BenchConfig load_config(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -179,6 +328,7 @@ BenchConfig load_config(const std::string& path) {
     cfg.name = stem;
   }
 
+  std::vector<std::string> seen;
   std::size_t line_start = 0;
   int line_no = 0;
   while (line_start <= text.size()) {
@@ -192,140 +342,136 @@ BenchConfig load_config(const std::string& path) {
     if (hash != std::string::npos) line = line.substr(0, hash);
     line = trim(line);
     if (line.empty()) continue;
+    const std::string where = path + ":" + std::to_string(line_no) + ": ";
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      bad_config(path + ":" + std::to_string(line_no) +
-                 ": expected 'key = value'");
-    }
+    if (eq == std::string::npos) bad_config(where + "expected 'key = value'");
     const std::string key = trim(line.substr(0, eq));
     const std::string val = trim(line.substr(eq + 1));
     if (key.empty() || val.empty()) {
-      bad_config(path + ":" + std::to_string(line_no) +
-                 ": expected 'key = value'");
+      bad_config(where + "expected 'key = value'");
     }
+    for (const std::string& k : seen) {
+      if (k == key) bad_config(where + "key '" + key + "' set twice");
+    }
+    seen.push_back(key);
 
     if (key == "name") {
       cfg.name = val;
     } else if (key == "seed") {
       cfg.seed = parse_size(key, val);
-    } else if (key == "rounds") {
-      cfg.rounds = parse_size(key, val);
     } else if (key == "worlds_per_point") {
       cfg.worlds_per_point = parse_size(key, val);
-    } else if (key == "snapshot_every") {
-      cfg.snapshot_every = parse_size(key, val);
     } else if (key == "ring_capacity") {
       cfg.ring_capacity = parse_size(key, val);
-    } else if (key == "n_links") {
-      cfg.n_links.clear();
-      for (const auto& s : split_list(val)) {
-        cfg.n_links.push_back(parse_size(key, s));
-      }
-    } else if (key == "placement") {
-      cfg.placement = split_list(val);
-      for (const auto& s : cfg.placement) {
-        check_choice(key, s, {"uniform", "clustered"});
-      }
-    } else if (key == "fidelity") {
-      cfg.fidelity = split_list(val);
-      for (const auto& s : cfg.fidelity) {
-        check_choice(key, s, {"abstracted", "full"});
-      }
-    } else if (key == "pattern") {
-      check_choice(key, val, {"peer", "ap"});
-      cfg.pattern = val;
-    } else if (key == "scheme") {
-      check_choice(key, val, {"nplus", "dot11n"});
-      cfg.scheme = val;
-    } else if (key == "mobility") {
-      check_choice(key, val, {"static", "pedestrian", "fast"});
-      cfg.mobility = val;
-    } else if (key == "include_overheads") {
-      cfg.include_overheads = parse_bool(key, val);
-    } else if (key == "lazy_channels") {
-      cfg.lazy_channels = parse_bool(key, val);
-    } else if (key == "rate_control") {
-      cfg.rate_control = parse_bool(key, val);
-    } else if (key == "inter_round_gap_s") {
-      cfg.inter_round_gap_s = parse_double(key, val);
-    } else if (key == "env_doppler_hz") {
-      cfg.env_doppler_hz = parse_double(key, val);
-    } else if (key == "flow_arrival_hz") {
-      cfg.flow_arrival_hz = parse_double(key, val);
-    } else if (key == "flow_departure_hz") {
-      cfg.flow_departure_hz = parse_double(key, val);
-    } else if (key == "node_leave_hz") {
-      cfg.node_leave_hz = parse_double(key, val);
-    } else if (key == "node_return_hz") {
-      cfg.node_return_hz = parse_double(key, val);
+    } else if (key == "paired") {
+      cfg.paired = parse_bool(key, val);
     } else {
-      bad_config(path + ":" + std::to_string(line_no) + ": unknown key '" +
-                 key + "' (see bench/README.md for the reference)");
+      const ItemKey* item_key = nullptr;
+      for (const ItemKey& k : item_keys()) {
+        if (key == k.name) item_key = &k;
+      }
+      if (item_key == nullptr) {
+        bad_config(where + "unknown key '" + key +
+                   "' (see bench/README.md for the reference)");
+      }
+      Setting setting{item_key, {}};
+      for (const std::string& word : split_list(val)) {
+        setting.values.push_back(parse_value(*item_key, word));
+      }
+      cfg.settings.push_back(std::move(setting));
     }
   }
-  if (cfg.rounds == 0) bad_config("rounds must be >= 1");
   if (cfg.worlds_per_point == 0) bad_config("worlds_per_point must be >= 1");
-  if (cfg.n_links.empty()) bad_config("n_links must list at least one size");
   return cfg;
 }
 
 // --- Sweep construction --------------------------------------------------
 
 struct Point {
-  std::size_t n_links = 0;
-  std::string placement;
-  std::string fidelity;
+  std::string labels;          // the point's "key": value pairs
   std::size_t first_item = 0;  // index of its first session in the batch
+  bool faults = false;         // its sessions report FaultStats
 };
 
-sim::SweepItem make_item(const BenchConfig& cfg, std::size_t n_links,
-                         const std::string& placement,
-                         const std::string& fidelity) {
+// The item every point starts from, before the config's keys apply.
+sim::SweepItem base_item() {
   sim::SweepItem item;
-  item.gen.n_links = n_links;
-  item.gen.placement = placement == "clustered"
-                           ? sim::PlacementMode::kClustered
-                           : sim::PlacementMode::kUniform;
-  item.gen.pattern = cfg.pattern == "ap" ? sim::LinkPattern::kApDownlink
-                                         : sim::LinkPattern::kPeerPairs;
-  // Heterogeneous antenna mix biased toward small radios (the same mix the
-  // scale_topologies sweep pinned).
+  // Heterogeneous antenna mix biased toward the small radios a dense
+  // deployment actually has.
   item.gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
   item.gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
-  item.world.lazy_channels = cfg.lazy_channels;
-  item.session.n_rounds = cfg.rounds;
-  item.session.snapshot_every = cfg.snapshot_every;
-  item.session.inter_round_gap_s = cfg.inter_round_gap_s;
-  item.session.round.include_overheads = cfg.include_overheads;
-  item.session.round.fidelity = fidelity == "full" ? sim::Fidelity::kFullPhy
-                                                   : sim::Fidelity::kAbstracted;
-  item.session.scheme = cfg.scheme == "dot11n" ? sim::Scheme::kDot11n
-                                               : sim::Scheme::kNplus;
-  if (cfg.mobility == "pedestrian") {
-    item.session.dynamics.mobility.model = sim::MobilityModel::kRandomWaypoint;
-  } else if (cfg.mobility == "fast") {
-    item.session.dynamics.mobility.model = sim::MobilityModel::kRandomWaypoint;
-    item.session.dynamics.mobility.speed_min_mps = 3.0;
-    item.session.dynamics.mobility.speed_max_mps = 8.0;
-    item.session.dynamics.mobility.pause_s = 0.5;
-  }
-  item.session.dynamics.evolution.env_doppler_hz = cfg.env_doppler_hz;
-  item.session.dynamics.churn.flow_arrival_hz = cfg.flow_arrival_hz;
-  item.session.dynamics.churn.flow_departure_hz = cfg.flow_departure_hz;
-  item.session.dynamics.churn.node_leave_hz = cfg.node_leave_hz;
-  item.session.dynamics.churn.node_return_hz = cfg.node_return_hz;
-  item.session.dynamics.use_rate_control = cfg.rate_control;
+  item.session.n_rounds = 40;
+  item.session.snapshot_every = 0;
   return item;
+}
+
+// Expands the grid into one flat batch: points in odometer order (the last
+// setting in the file varies fastest), `worlds_per_point` items each.
+void build_sweep(const BenchConfig& cfg, std::vector<Point>& points,
+                 std::vector<sim::SweepItem>& batch) {
+  const std::vector<Setting>& settings = cfg.settings;
+  std::vector<std::size_t> pick(settings.size(), 0);
+  for (;;) {
+    sim::SweepItem item = base_item();
+    std::string axes;
+    for (std::size_t k = 0; k < settings.size(); ++k) {
+      const Setting& s = settings[k];
+      const Value& v = s.values[pick[k]];
+      s.key->set(item, v);
+      const std::string name = s.key->name;
+      if (s.values.size() > 1 && name != "n_links" && name != "placement" &&
+          name != "fidelity") {
+        axes += ", \"" + name + "\": " + v.json;
+      }
+    }
+    // Constant node density above 100 links: the floor grows with
+    // sqrt(n / 100), so a big world is a wider office, not a denser one.
+    if (item.gen.n_links > 100) {
+      const double scale =
+          std::sqrt(static_cast<double>(item.gen.n_links) / 100.0);
+      item.gen.area_w_m *= scale;
+      item.gen.area_h_m *= scale;
+    }
+    if (item.session.n_rounds == 0) bad_config("rounds must be >= 1");
+    try {
+      item.gen.validate();
+      item.session.validate();
+    } catch (const std::invalid_argument& e) {
+      bad_config(e.what());
+    }
+
+    Point pt;
+    pt.labels = "\"n_links\": " + std::to_string(item.gen.n_links);
+    pt.labels += item.gen.placement == sim::PlacementMode::kClustered
+                     ? ", \"placement\": \"clustered\""
+                     : ", \"placement\": \"uniform\"";
+    pt.labels += item.session.round.fidelity == sim::Fidelity::kFullPhy
+                     ? ", \"fidelity\": \"full\""
+                     : ", \"fidelity\": \"abstracted\"";
+    pt.labels += axes;
+    pt.first_item = batch.size();
+    pt.faults = item.session.faults.enabled();
+    points.push_back(std::move(pt));
+    for (std::size_t w = 0; w < cfg.worlds_per_point; ++w) {
+      if (cfg.paired) item.stream = w;
+      batch.push_back(item);
+    }
+
+    std::size_t k = settings.size();
+    while (k > 0 && ++pick[k - 1] == settings[k - 1].values.size()) {
+      pick[--k] = 0;
+    }
+    if (k == 0) return;
+  }
 }
 
 // --- Canonical JSON ------------------------------------------------------
 
 void json_session(std::string& out, const sim::SessionResult& s,
-                  const char* indent, bool last) {
+                  bool faults, bool last) {
   using util::json_double;
   const auto& q = s.round_duration_q;
-  out += indent;
-  out += "{\"rounds\": " + std::to_string(s.rounds);
+  out += "      {\"rounds\": " + std::to_string(s.rounds);
   out += ", \"duration_s\": " + json_double(s.duration_s);
   out += ", \"total_mbps\": " + json_double(s.total_mbps);
   out += ", \"goodput_mbps\": " + json_double(s.goodput_mbps);
@@ -337,8 +483,21 @@ void json_session(std::string& out, const sim::SessionResult& s,
   out += ", \"p50\": " + json_double(q.quantile(50.0));
   out += ", \"p95\": " + json_double(q.quantile(95.0));
   out += ", \"p99\": " + json_double(q.quantile(99.0));
-  out += ", \"max\": " + json_double(q.max()) + "}}";
-  out += last ? "\n" : ",\n";
+  out += ", \"max\": " + json_double(q.max()) + "}";
+  if (faults) {
+    const sim::FaultStats& f = s.faults;
+    out += ", \"faults\": {\"frames_completed\": " +
+           std::to_string(f.frames_completed);
+    out += ", \"frames_dropped\": " + std::to_string(f.frames_dropped);
+    out += ", \"retransmissions\": " + std::to_string(f.retransmissions);
+    out += ", \"ack_losses\": " + std::to_string(f.ack_losses);
+    out += ", \"header_deferrals\": " + std::to_string(f.header_deferrals);
+    out += ", \"blind_joins\": " + std::to_string(f.blind_joins);
+    out += ", \"outages\": " + std::to_string(f.outages);
+    out += ", \"degenerate_esnr\": " + std::to_string(f.degenerate_esnr);
+    out += ", \"drop_rate\": " + json_double(f.drop_rate()) + "}";
+  }
+  out += last ? "}\n" : "},\n";
 }
 
 constexpr const char* kUsage =
@@ -383,21 +542,9 @@ int run_bench(int argc, char** argv) {
   const std::string out_path =
       out_opt ? *out_opt : "BENCH_" + cfg.name + ".json";
 
-  // Cartesian grid in config order: n_links (outer) x placement x fidelity,
-  // worlds_per_point items each. This flat order IS the determinism
-  // contract — item i always gets fork(i + 1) of the master seed.
   std::vector<Point> points;
   std::vector<sim::SweepItem> batch;
-  for (const std::size_t n : cfg.n_links) {
-    for (const std::string& pl : cfg.placement) {
-      for (const std::string& fd : cfg.fidelity) {
-        points.push_back({n, pl, fd, batch.size()});
-        for (std::size_t w = 0; w < cfg.worlds_per_point; ++w) {
-          batch.push_back(make_item(cfg, n, pl, fd));
-        }
-      }
-    }
-  }
+  build_sweep(cfg, points, batch);
 
   util::TraceCollector trace(batch.size(), cfg.ring_capacity);
   rcfg.trace = &trace;
@@ -418,21 +565,14 @@ int run_bench(int argc, char** argv) {
   // Merge the per-item rings into the global (worker, seq) timeline. The
   // merged bytes are a pure function of the per-item computations, so the
   // CRC below — and the optional NPTR file — are identical at any thread
-  // count. Caveat: checkpoint-resumed items were not re-executed, so their
-  // rings are empty on a resumed run.
+  // count, and on a resumed run.
   const std::vector<util::TraceRecord> merged = trace.merge();
   std::uint32_t trace_crc = 0;
   {
     util::ByteWriter w;
-    for (const util::TraceRecord& rec : merged) {
-      w.u32(rec.worker);
-      w.u32(rec.type);
-      w.u64(rec.seq);
-      w.f64(rec.t);
-      w.u64(rec.a);
-      w.f64(rec.b);
-    }
-    trace_crc = util::crc32(w.data().data(), w.data().size());
+    util::write_trace_records(merged, w);
+    // The CRC covers the records alone, not the u64 count before them.
+    trace_crc = util::crc32(w.data().data() + 8, w.data().size() - 8);
   }
   if (trace_opt) util::write_trace_file(*trace_opt, merged);
 
@@ -440,21 +580,26 @@ int run_bench(int argc, char** argv) {
   js += "{\n  \"schema\": \"nplus-bench-v1\",\n";
   js += "  \"name\": \"" + util::json_escape(cfg.name) + "\",\n";
   js += "  \"seed\": " + std::to_string(cfg.seed) + ",\n";
-  js += "  \"rounds\": " + std::to_string(cfg.rounds) + ",\n";
+  // A key that is a grid axis is named per point instead.
+  if (!cfg.is_axis("rounds")) {
+    js += "  \"rounds\": " + std::to_string(batch[0].session.n_rounds) +
+          ",\n";
+  }
   js += "  \"worlds_per_point\": " + std::to_string(cfg.worlds_per_point) +
         ",\n";
-  js += "  \"scheme\": \"" + util::json_escape(cfg.scheme) + "\",\n";
+  if (!cfg.is_axis("scheme")) {
+    js += batch[0].session.scheme == sim::Scheme::kDot11n
+              ? "  \"scheme\": \"dot11n\",\n"
+              : "  \"scheme\": \"nplus\",\n";
+  }
   js += "  \"complete\": ";
   js += outcome.complete() ? "true" : "false";
   js += ",\n  \"points\": [\n";
   for (std::size_t p = 0; p < points.size(); ++p) {
     const Point& pt = points[p];
-    js += "    {\"n_links\": " + std::to_string(pt.n_links);
-    js += ", \"placement\": \"" + util::json_escape(pt.placement) + "\"";
-    js += ", \"fidelity\": \"" + util::json_escape(pt.fidelity) + "\"";
-    js += ", \"sessions\": [\n";
+    js += "    {" + pt.labels + ", \"sessions\": [\n";
     for (std::size_t w = 0; w < cfg.worlds_per_point; ++w) {
-      json_session(js, outcome.results[pt.first_item + w], "      ",
+      json_session(js, outcome.results[pt.first_item + w], pt.faults,
                    w + 1 == cfg.worlds_per_point);
     }
     js += "    ]}";

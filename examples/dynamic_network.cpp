@@ -106,6 +106,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nKnobs to play with: DynamicsConfig in sim/session.h (mobility\n"
       "model/speeds, EvolutionConfig Doppler floor, churn rates, AARF\n"
-      "parameters). bench/dynamics_scale.cc sweeps the grid.\n");
+      "parameters). bench/configs/dynamics.cfg sweeps the grid.\n");
   return 0;
 }

@@ -81,10 +81,10 @@ RULES = {
     },
     "no-stdio-library": {
         "desc": "no printf-family or iostream output from library code; "
-                "results flow through return values and util::log so "
-                "drivers own the (byte-compared) output channels",
+                "results flow through return values so drivers own the "
+                "(byte-compared) output channels",
         "scope": ["src/"],
-        "allow": ["src/util/cli.cc", "src/util/log.cc"],
+        "allow": ["src/util/cli.cc"],
     },
     "no-file-io-library": {
         "desc": "no direct file I/O from library code; the checkpoint and "

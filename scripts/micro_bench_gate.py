@@ -35,7 +35,7 @@ Usage:
 
 --convert skips running the binary and adapts an existing
 google-benchmark JSON file (used to re-derive a baseline from a recorded
-BENCH_micro.json without re-benchmarking).
+--benchmark_out dump without re-benchmarking).
 
 Exit codes: 0 ok, 1 speedup floor violated or benchmark run failed,
 2 usage or config error.

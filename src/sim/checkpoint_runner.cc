@@ -18,7 +18,9 @@ namespace {
 // any change to the header blob or the SessionResult record layout.
 // v2: SessionResult grew the round_duration_q quantile sketch (appended at
 // the end of the record).
-constexpr std::uint32_t kAppVersion = 2;
+// v3: each item record ends with the item's trace ring (emitted count, then
+// the retained records), so a traced resume reproduces the merged trace.
+constexpr std::uint32_t kAppVersion = 3;
 
 void write_rng_state(const util::Rng::State& s, util::ByteWriter& w) {
   w.u64(s.gen.state);
@@ -66,6 +68,29 @@ std::vector<std::size_t> read_u64_vec(util::ByteReader& r) {
   std::vector<std::size_t> v(r.u64());
   for (std::size_t& x : v) x = r.u64();
   return v;
+}
+
+// A finished item's trace ring; an untraced item writes an empty one.
+void write_ring(const util::TraceRing* ring, util::ByteWriter& w) {
+  w.u64(ring != nullptr ? ring->emitted() : 0);
+  util::write_trace_records(
+      ring != nullptr ? ring->drain() : std::vector<util::TraceRecord>{}, w);
+}
+
+// Reads a ring written by write_ring into `ring` (nullptr: skip it). A
+// traced run refuses a record with no events: every traced item emits at
+// least kItemStart, so such a record was checkpointed without tracing.
+void read_ring(util::ByteReader& r, util::TraceRing* ring,
+               const std::string& where) {
+  const std::uint64_t emitted = r.u64();
+  const std::vector<util::TraceRecord> recs = util::read_trace_records(r);
+  if (ring == nullptr) return;
+  if (emitted == 0) {
+    throw util::CheckpointError(where +
+                                " was written without tracing; rerun the "
+                                "sweep from scratch to trace it");
+  }
+  ring->restore(recs, emitted);
 }
 
 // The sweep identity blob stored in (and verified against) a checkpoint:
@@ -187,12 +212,27 @@ SweepOutcome CheckpointedRunner::run() {
   // The determinism anchor: the same fork-before-dispatch table
   // ThreadPool::run_seeded builds, saved in immutable form so each attempt
   // of an item (retry or resume) restores a pristine copy of its stream.
+  // Stream s is always the master's (s + 1)-th fork, so an item that names
+  // stream s draws exactly what item s would by default.
   std::vector<util::Rng::State> table(n);
   {
+    std::vector<util::Rng::State> streams;
     util::Rng master(seed_);
-    for (std::size_t i = 0; i < n; ++i) table[i] = master.fork(i + 1).save();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t s = items_[i].stream.value_or(i);
+      for (std::size_t k = streams.size(); k <= s; ++k) {
+        streams.push_back(master.fork(k + 1).save());
+      }
+      table[i] = streams[s];
+    }
   }
   const std::vector<std::uint8_t> header = build_header(seed_, table);
+  // Ring i belongs to item i alone (single-producer by partition).
+  const auto ring_of = [&](std::size_t i) -> util::TraceRing* {
+    return cfg_.trace != nullptr && i < cfg_.trace->workers()
+               ? &cfg_.trace->ring(i)
+               : nullptr;
+  };
 
   const bool checkpointing = !cfg_.checkpoint_path.empty();
   if (cfg_.resume) {
@@ -222,6 +262,9 @@ SweepOutcome CheckpointedRunner::run() {
         }
         util::ByteReader r(blob);
         out.results[index] = deserialize_session_result(r);
+        read_ring(r, ring_of(index),
+                  "checkpoint " + cfg_.checkpoint_path + ": item " +
+                      std::to_string(index));
         if (!r.done()) {
           throw util::CheckpointError(
               "checkpoint " + cfg_.checkpoint_path + ": item " +
@@ -253,6 +296,7 @@ SweepOutcome CheckpointedRunner::run() {
       if (!out.completed[i]) continue;
       util::ByteWriter w;
       serialize_session_result(out.results[i], w);
+      write_ring(ring_of(i), w);
       d.items.emplace_back(i, w.take());
     }
     util::write_checkpoint_file(cfg_.checkpoint_path, d);
@@ -276,12 +320,10 @@ SweepOutcome CheckpointedRunner::run() {
         World world = make_world(topo, world_rng, items_[i].world);
         SessionConfig session_cfg = items_[i].session;
         session_cfg.cancel = &token;
-        // Ring i belongs to item i alone (single-producer by partition);
-        // emission is draw-free, so traced and untraced runs are
+        // Emission is draw-free, so traced and untraced runs are
         // bit-identical.
-        util::TraceRing* ring = nullptr;
-        if (cfg_.trace != nullptr && i < cfg_.trace->workers()) {
-          ring = &cfg_.trace->ring(i);
+        util::TraceRing* ring = ring_of(i);
+        if (ring != nullptr) {
           session_cfg.trace = ring;
           ring->emit(util::TraceEvent::kItemStart, 0.0, i);
         }

@@ -2,10 +2,11 @@
 // SweepItem (scenario_gen.h), under supervision, with periodic
 // checkpointing and bit-exact resume.
 //
-// Item i draws all its randomness from its own stream, Rng(seed).fork(i+1),
-// forked before any dispatch; the topology, world and session take forks
-// 1/2/3 of it. Results are written by index, so a sweep is bit-identical
-// for every thread count. Every item runs inside a util::Supervisor:
+// Item i draws all its randomness from stream s = SweepItem::stream (by
+// default i), the master Rng(seed)'s (s+1)-th fork, taken before any
+// dispatch; the topology, world and session take forks 1/2/3 of it.
+// Results are written by index, so a sweep is bit-identical for every
+// thread count. Every item runs inside a util::Supervisor:
 //
 //   * a throwing item is quarantined into the FailureReport and the sweep
 //     completes with partial results (the failed slot keeps a
@@ -77,10 +78,10 @@ struct RunnerConfig {
   // item indices, so the post-hoc (worker, seq) merge is byte-identical at
   // any thread count. The runner emits kItemStart/kItemEnd around each
   // item and threads the ring into SessionConfig::trace (round + kernel
-  // events). Caveat: items restored from a checkpoint are not re-executed,
-  // so their rings stay empty on a resumed run; runner-level events whose
-  // order is scheduling-dependent (checkpoint writes) are deliberately not
-  // traced. nullptr disables tracing.
+  // events). Each checkpoint record carries its item's ring, so a resumed
+  // run merges the same records as an uninterrupted one; runner-level
+  // events whose order is scheduling-dependent (checkpoint writes) are
+  // deliberately not traced. nullptr disables tracing.
   util::TraceCollector* trace = nullptr;
 };
 

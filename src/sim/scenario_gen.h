@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,10 @@ struct SweepItem {
   GenConfig gen;
   SessionConfig session{};
   WorldConfig world{};
+  // Which pre-forked stream the item draws from; unset means its own
+  // position in the sweep. Items that name the same stream get identical
+  // topologies, worlds and session draws (common random numbers).
+  std::optional<std::size_t> stream{};
 };
 
 }  // namespace nplus::sim

@@ -91,16 +91,6 @@ std::size_t init_threads_from_cli(int& argc, char** argv, bool strict) {
   return requested != 0 ? requested : default_thread_count();
 }
 
-bool take_flag(int& argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      erase_args(argc, argv, i, 1);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::optional<std::string> take_option(int& argc, char** argv,
                                        const char* name) {
   return take_value(argc, argv, name);

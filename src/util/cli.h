@@ -35,9 +35,6 @@ struct UsageError : std::runtime_error {
 std::size_t init_threads_from_cli(int& argc, char** argv,
                                   bool strict = false);
 
-// Consumes `--name` from (argc, argv); returns whether it was present.
-bool take_flag(int& argc, char** argv, const char* name);
-
 // Consumes `--name VALUE` or `--name=VALUE`; nullopt when absent, throws
 // UsageError when the value is missing.
 std::optional<std::string> take_option(int& argc, char** argv,

@@ -52,6 +52,25 @@ std::vector<TraceRecord> TraceRing::drain() const {
   return out;
 }
 
+void TraceRing::restore(const std::vector<TraceRecord>& retained,
+                        std::uint64_t emitted) {
+  const std::uint64_t cap = buf_.size();
+  const std::uint64_t first = emitted > cap ? emitted - cap : 0;
+  if (this->emitted() != 0 || retained.size() != emitted - first) {
+    throw CheckpointError("trace ring " + std::to_string(worker_) +
+                          ": saved records do not fit this ring");
+  }
+  for (std::size_t k = 0; k < retained.size(); ++k) {
+    const TraceRecord& rec = retained[k];
+    if (rec.worker != worker_ || rec.seq != first + k) {
+      throw CheckpointError("trace ring " + std::to_string(worker_) +
+                            ": saved record out of sequence");
+    }
+    buf_[static_cast<std::size_t>(rec.seq % cap)] = rec;
+  }
+  head_.store(emitted, std::memory_order_relaxed);
+}
+
 TraceCollector::TraceCollector(std::size_t workers, std::size_t ring_capacity) {
   rings_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -89,11 +108,8 @@ std::uint64_t TraceCollector::total_dropped() const {
   return n;
 }
 
-void write_trace_file(const std::string& path,
-                      const std::vector<TraceRecord>& records) {
-  ByteWriter w;
-  w.u32(kTraceMagic);
-  w.u32(kTraceVersion);
+void write_trace_records(const std::vector<TraceRecord>& records,
+                         ByteWriter& w) {
   w.u64(records.size());
   for (const TraceRecord& rec : records) {
     w.u32(rec.worker);
@@ -103,6 +119,32 @@ void write_trace_file(const std::string& path,
     w.u64(rec.a);
     w.f64(rec.b);
   }
+}
+
+std::vector<TraceRecord> read_trace_records(ByteReader& r) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / kTraceRecordBytes) {
+    throw CheckpointError("declared record count " + std::to_string(n) +
+                          " exceeds remaining payload");
+  }
+  std::vector<TraceRecord> out(static_cast<std::size_t>(n));
+  for (TraceRecord& rec : out) {
+    rec.worker = r.u32();
+    rec.type = r.u32();
+    rec.seq = r.u64();
+    rec.t = r.f64();
+    rec.a = r.u64();
+    rec.b = r.f64();
+  }
+  return out;
+}
+
+void write_trace_file(const std::string& path,
+                      const std::vector<TraceRecord>& records) {
+  ByteWriter w;
+  w.u32(kTraceMagic);
+  w.u32(kTraceVersion);
+  write_trace_records(records, w);
   write_sealed_file(path, w.data());
 }
 
@@ -123,25 +165,7 @@ std::vector<TraceRecord> read_trace_file(const std::string& path) {
       throw CheckpointError("unsupported trace version " +
                             std::to_string(version));
     }
-    const std::uint64_t n = r.u64();
-    // Bound the declared count by the bytes that actually follow, so a
-    // CRC-valid-but-hostile header cannot drive a huge allocation.
-    if (n > r.remaining() / kTraceRecordBytes) {
-      throw CheckpointError("declared record count " + std::to_string(n) +
-                            " exceeds remaining payload");
-    }
-    std::vector<TraceRecord> out;
-    out.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      TraceRecord rec;
-      rec.worker = r.u32();
-      rec.type = r.u32();
-      rec.seq = r.u64();
-      rec.t = r.f64();
-      rec.a = r.u64();
-      rec.b = r.f64();
-      out.push_back(rec);
-    }
+    std::vector<TraceRecord> out = read_trace_records(r);
     if (!r.done()) throw CheckpointError("trailing bytes after last record");
     return out;
   } catch (const CheckpointError& e) {

@@ -3,9 +3,9 @@
 // When a city-scale sweep misbehaves — a round that stalls, a fault window
 // that never recovers, a thread-count-dependent divergence — the JSON
 // summaries are too coarse to localize it and logging every event through
-// util::log would serialize the workers it is trying to observe. This layer
-// records fixed-size binary events on a lock-free per-worker write path and
-// reconstructs one global, deterministic timeline after the run.
+// a shared stream would serialize the workers it is trying to observe. This
+// layer records fixed-size binary events on a lock-free per-worker write
+// path and reconstructs one global, deterministic timeline after the run.
 //
 // The concurrency story is partitioning, not synchronization: each WORKER
 // (a logical sweep item, NOT a thread — see below) owns one single-producer
@@ -97,6 +97,13 @@ class TraceRing {
   // Retained records, oldest first (ascending seq).
   std::vector<TraceRecord> drain() const;
 
+  // Refills an unused ring with what a finished one held: its drain()
+  // records and its emitted() count (a checkpoint resume). Throws
+  // CheckpointError unless they are exactly what a ring of this worker and
+  // capacity would retain after `emitted` records.
+  void restore(const std::vector<TraceRecord>& retained,
+               std::uint64_t emitted);
+
  private:
   std::uint32_t worker_;
   std::vector<TraceRecord> buf_;
@@ -124,6 +131,14 @@ class TraceCollector {
  private:
   std::vector<std::unique_ptr<TraceRing>> rings_;  // stable addresses
 };
+
+// The record-list encoding NPTR files and checkpoint records share: a u64
+// count, then kTraceRecordBytes per record. The reader throws
+// CheckpointError when the count exceeds the bytes left, so a hostile
+// count cannot drive a huge allocation.
+void write_trace_records(const std::vector<TraceRecord>& records,
+                         ByteWriter& w);
+std::vector<TraceRecord> read_trace_records(ByteReader& r);
 
 // Serializes records into the NPTR container (versioned header + CRC,
 // atomic tmp+rename). Throws CheckpointError on I/O failure.

@@ -1,7 +1,7 @@
-// LINT-PATH: src/util/log.cc
-// util::log (and util::cli) are the allowlisted output owners; and outside
-// src/ — drivers, tests, examples — printing is always fine. A "printf"
-// inside a string literal must never match either.
+// LINT-PATH: src/util/cli.cc
+// util::cli is the allowlisted output owner; and outside src/ — drivers,
+// tests, examples — printing is always fine. A "printf" inside a string
+// literal must never match either.
 #include <cstdio>
 #include <string>
 

@@ -161,42 +161,59 @@ TEST(FullPhyScorer, ZeroLengthPayloadRoundTrips) {
 
 TEST(Fidelity, RoundProtocolTraceIdenticalAcrossModes) {
   util::Rng master(31);
-  const sim::GeneratedTopology topo =
+  const sim::GeneratedTopology three_pair =
       sim::make_preset(sim::Preset::kThreePair, master);
   // One frozen stream per role, copied per use: Rng::fork advances the
   // parent, and World::estimate consumes world-internal RNG state, so each
   // mode gets its own freshly built — but bit-identical — world.
   const util::Rng world_base = master.fork(1);
   const util::Rng round_base = master.fork(2);
+  // Inputs: the paper's three-pair layout on an eager world, and a
+  // generated 100-pair topology on a lazy world.
+  sim::GenConfig gen;
+  gen.n_links = 100;
+  util::Rng gen_rng = master.fork(3);
+  sim::WorldConfig lazy;
+  lazy.lazy_channels = true;
+  const struct {
+    sim::GeneratedTopology topo;
+    sim::WorldConfig world;
+  } inputs[] = {{three_pair, {}},
+                {sim::generate_topology(gen, gen_rng), lazy}};
 
   sim::RoundConfig abs_cfg;
   abs_cfg.fidelity = sim::Fidelity::kAbstracted;
   sim::RoundConfig phy_cfg;
   phy_cfg.fidelity = sim::Fidelity::kFullPhy;
 
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    util::Rng world_rng_a = world_base.duplicate();
-    util::Rng world_rng_p = world_base.duplicate();
-    const sim::World world_a = sim::make_world(topo, world_rng_a);
-    const sim::World world_p = sim::make_world(topo, world_rng_p);
-    util::Rng round_parent = round_base.duplicate();
-    const util::Rng round_stream = round_parent.fork(100 + seed);
-    util::Rng rng_a = round_stream.duplicate();
-    util::Rng rng_p = round_stream.duplicate();  // identical child stream
-    const sim::RoundResult a =
-        sim::run_nplus_round(world_a, topo.scenario, rng_a, abs_cfg);
-    const sim::RoundResult p =
-        sim::run_nplus_round(world_p, topo.scenario, rng_p, phy_cfg);
+  for (const auto& in : inputs) {
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      util::Rng world_rng_a = world_base.duplicate();
+      util::Rng world_rng_p = world_base.duplicate();
+      const sim::World world_a =
+          sim::make_world(in.topo, world_rng_a, in.world);
+      const sim::World world_p =
+          sim::make_world(in.topo, world_rng_p, in.world);
+      util::Rng round_parent = round_base.duplicate();
+      const util::Rng round_stream = round_parent.fork(100 + seed);
+      util::Rng rng_a = round_stream.duplicate();
+      util::Rng rng_p = round_stream.duplicate();  // identical child stream
+      const sim::RoundResult a =
+          sim::run_nplus_round(world_a, in.topo.scenario, rng_a, abs_cfg);
+      const sim::RoundResult p =
+          sim::run_nplus_round(world_p, in.topo.scenario, rng_p, phy_cfg);
 
-    EXPECT_EQ(a.winner_order, p.winner_order);
-    EXPECT_EQ(a.total_streams, p.total_streams);
-    EXPECT_DOUBLE_EQ(a.duration_s, p.duration_s);
-    ASSERT_EQ(a.links.size(), p.links.size());
-    for (std::size_t l = 0; l < a.links.size(); ++l) {
-      EXPECT_EQ(a.links[l].mcs_index, p.links[l].mcs_index);
-      EXPECT_EQ(a.links[l].streams, p.links[l].streams);
-      EXPECT_DOUBLE_EQ(a.links[l].esnr_db, p.links[l].esnr_db);
-      EXPECT_DOUBLE_EQ(a.links[l].final_esnr_db, p.links[l].final_esnr_db);
+      EXPECT_EQ(a.winner_order, p.winner_order) << in.topo.name;
+      EXPECT_EQ(a.total_streams, p.total_streams);
+      EXPECT_DOUBLE_EQ(a.duration_s, p.duration_s);
+      ASSERT_EQ(a.links.size(), p.links.size());
+      for (std::size_t l = 0; l < a.links.size(); ++l) {
+        EXPECT_EQ(a.links[l].mcs_index, p.links[l].mcs_index);
+        EXPECT_EQ(a.links[l].streams, p.links[l].streams);
+        EXPECT_DOUBLE_EQ(a.links[l].esnr_db, p.links[l].esnr_db);
+        EXPECT_DOUBLE_EQ(a.links[l].final_esnr_db,
+                         p.links[l].final_esnr_db);
+      }
     }
   }
 }

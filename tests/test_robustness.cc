@@ -247,6 +247,7 @@ TEST(Robustness, InterferencePowerSweepDegradesGracefully) {
 #include "util/checkpoint.h"
 #include "util/supervisor.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace nplus::sim {
 namespace {
@@ -556,6 +557,109 @@ TEST(CheckpointRunner, KillAtCheckpointThenResumeIsByteIdentical) {
     EXPECT_EQ(result_bytes(outcome.results), expected)
         << threads << " threads";
   }
+}
+
+// Halts a sweep after two fresh completions, then resumes it from the
+// checkpoint; `trace` (may be null) is handed to the resumed run only.
+SweepOutcome halt_then_resume(const std::vector<SweepItem>& items,
+                              std::uint64_t seed, std::size_t threads,
+                              const std::string& ckpt_path,
+                              util::TraceCollector* trace) {
+  {
+    RunnerConfig cfg;
+    cfg.supervisor.n_threads = threads;
+    cfg.checkpoint_path = ckpt_path;
+    cfg.checkpoint_every = 1;
+    cfg.halt_after = 2;
+    util::TraceCollector halted_trace(items.size(), 16);
+    if (trace != nullptr) cfg.trace = &halted_trace;
+    CheckpointedRunner(items, seed, cfg).run();
+  }
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = threads;
+  cfg.checkpoint_path = ckpt_path;
+  cfg.resume = true;
+  cfg.trace = trace;
+  return CheckpointedRunner(items, seed, cfg).run();
+}
+
+TEST(CheckpointRunner, TracedResumeMergesTheUninterruptedTrace) {
+  // Each checkpoint record carries its item's ring, so the resumed run's
+  // merged trace (records and drop count) equals an uninterrupted run's.
+  // The 16-record rings overflow, so dropped counts are restored too.
+  const std::vector<SweepItem> items(5, small_item());
+  const std::uint64_t seed = 44;
+  util::TraceCollector whole(items.size(), 16);
+  {
+    RunnerConfig cfg;
+    cfg.supervisor.n_threads = 2;
+    cfg.trace = &whole;
+    ASSERT_TRUE(CheckpointedRunner(items, seed, cfg).run().complete());
+  }
+  ASSERT_GT(whole.total_dropped(), 0u);
+  for (const std::size_t threads : {1u, 4u}) {
+    TempFile ckpt("test_ckpt_traced_" + std::to_string(threads) + ".bin");
+    util::TraceCollector resumed(items.size(), 16);
+    const SweepOutcome outcome =
+        halt_then_resume(items, seed, threads, ckpt.path, &resumed);
+    EXPECT_TRUE(outcome.complete());
+    EXPECT_GE(outcome.resumed, 2u);
+    EXPECT_EQ(resumed.merge(), whole.merge()) << threads << " threads";
+    EXPECT_EQ(resumed.total_dropped(), whole.total_dropped());
+  }
+}
+
+TEST(CheckpointRunner, UntracedCheckpointRefusesATracedResume) {
+  const std::vector<SweepItem> items(3, small_item());
+  TempFile ckpt("test_ckpt_untraced.bin");
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = 1;
+  cfg.checkpoint_path = ckpt.path;
+  cfg.halt_after = 1;
+  CheckpointedRunner(items, 45, cfg).run();
+  util::TraceCollector trace(items.size(), 16);
+  cfg.halt_after = 0;
+  cfg.resume = true;
+  cfg.trace = &trace;
+  EXPECT_THROW(CheckpointedRunner(items, 45, cfg).run(),
+               util::CheckpointError);
+}
+
+TEST(CheckpointRunner, ItemsSharingAStreamReplayIdenticalSessions) {
+  // Item i forks stream i unless it names another; a named stream is the
+  // one that position would fork, even past the end of the sweep.
+  std::vector<SweepItem> items(4, small_item());
+  items[1].stream = 0;
+  items[3].stream = 5;
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = 2;
+  const SweepOutcome outcome = CheckpointedRunner(items, 46, cfg).run();
+  ASSERT_TRUE(outcome.complete());
+  const std::vector<SessionResult> own =
+      reference_sweep(std::vector<SweepItem>(6, small_item()), 46);
+  EXPECT_EQ(result_bytes({outcome.results[0]}), result_bytes({own[0]}));
+  EXPECT_EQ(result_bytes({outcome.results[1]}), result_bytes({own[0]}));
+  EXPECT_EQ(result_bytes({outcome.results[2]}), result_bytes({own[2]}));
+  EXPECT_EQ(result_bytes({outcome.results[3]}), result_bytes({own[5]}));
+  EXPECT_NE(result_bytes({own[0]}), result_bytes({own[2]}));
+}
+
+TEST(CheckpointRunner, PairedSweepResumesByteIdentically) {
+  std::vector<SweepItem> items(6, small_item());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i].stream = i % 2;
+    items[i].session.n_rounds = 6 + i;  // points differ, worlds repeat
+  }
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = 2;
+  const SweepOutcome whole = CheckpointedRunner(items, 47, cfg).run();
+  ASSERT_TRUE(whole.complete());
+  TempFile ckpt("test_ckpt_paired.bin");
+  const SweepOutcome resumed =
+      halt_then_resume(items, 47, 4, ckpt.path, nullptr);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_GE(resumed.resumed, 2u);
+  EXPECT_EQ(result_bytes(resumed.results), result_bytes(whole.results));
 }
 
 TEST(CheckpointRunner, QuarantinedItemYieldsPartialResults) {

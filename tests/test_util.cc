@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -372,19 +371,6 @@ TEST(Units, ThermalNoise10MHz) {
   EXPECT_NEAR(thermal_noise_dbm(10e6), -104.0, 0.5);
 }
 
-TEST(Log, RespectsLevel) {
-  static std::vector<std::string> captured;
-  captured.clear();
-  set_log_sink([](LogLevel, const std::string& m) { captured.push_back(m); });
-  set_log_level(LogLevel::kWarn);
-  NPLUS_INFO() << "hidden";
-  NPLUS_WARN() << "visible " << 42;
-  reset_log_sink();
-  set_log_level(LogLevel::kWarn);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "visible 42");
-}
-
 }  // namespace
 }  // namespace nplus::util
 
@@ -513,12 +499,10 @@ struct FakeArgv {
 };
 
 TEST(Cli, TakeHelpersConsumeFlags) {
-  FakeArgv a({"bench", "--smoke", "--checkpoint", "ck.bin",
-              "--retries=2", "out.json"});
+  FakeArgv a({"bench", "--checkpoint", "ck.bin", "--retries=2",
+              "out.json"});
   int argc = a.argc;
   char** argv = a.argv();
-  EXPECT_TRUE(take_flag(argc, argv, "--smoke"));
-  EXPECT_FALSE(take_flag(argc, argv, "--smoke"));
   const auto ck = take_option(argc, argv, "--checkpoint");
   ASSERT_TRUE(ck.has_value());
   EXPECT_EQ(*ck, "ck.bin");
