@@ -97,9 +97,22 @@ void lu_solve_into(const Lu& f, const CVec& b, CVec& x) {
 }
 
 CMat lu_solve(const Lu& f, const CMat& b) {
-  CMat x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c)
-    x.set_col(c, lu_solve(f, b.col(c)));
+  // lu_solve_into column by column, in place in x.
+  const std::size_t n = f.lu.rows();
+  assert(b.rows() == n);
+  CMat x(n, b.cols());
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    for (std::size_t r = 0; r < n; ++r) {
+      cdouble s = b(f.perm[r], j);
+      for (std::size_t c = 0; c < r; ++c) s -= f.lu(r, c) * x(c, j);
+      x(r, j) = s;
+    }
+    for (std::size_t ri = n; ri-- > 0;) {
+      cdouble s = x(ri, j);
+      for (std::size_t c = ri + 1; c < n; ++c) s -= f.lu(ri, c) * x(c, j);
+      x(ri, j) = s / f.lu(ri, ri);
+    }
+  }
   return x;
 }
 
@@ -138,37 +151,39 @@ cdouble determinant(const CMat& a) {
 namespace {
 
 // Shared Householder QR core. If `pivot` is true, performs column pivoting
-// and records the permutation + numerical rank.
+// and records the permutation + numerical rank. Q, R and the permutation are
+// built in the returned Qr itself (a thin QR trims them at the end).
 Qr qr_impl(const CMat& a, bool full, bool pivot, double rel_tol) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t t = std::min(m, n);
 
-  CMat r = a;
-  CMat q = CMat::identity(m);
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-
-  // Column squared norms for pivot selection.
-  std::vector<double> col_norms(n, 0.0);
+  Qr out;
+  out.r = a;
+  out.q.resize_zero(m, m);
+  for (std::size_t i = 0; i < m; ++i) out.q(i, i) = cdouble{1.0, 0.0};
+  CMat& r = out.r;
+  CMat& q = out.q;
+  std::vector<std::size_t>& perm = out.col_perm;
   if (pivot) {
-    for (std::size_t c = 0; c < n; ++c) col_norms[c] = r.col(c).norm_sq();
+    perm.resize(n);
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
   }
 
   std::size_t rank = t;
   bool rank_found = false;
   double first_pivot_mag = 0.0;
+  CVec v;  // the current reflector, r(k.., k) shifted by alpha
 
   for (std::size_t k = 0; k < t; ++k) {
     if (pivot) {
-      // Recompute remaining column norms exactly (n is tiny; avoids the
-      // classical downdating instability).
+      // Pick the remaining column of largest norm, recomputed exactly each
+      // step (n is tiny; avoids the classical downdating instability).
       std::size_t best = k;
       double best_norm = -1.0;
       for (std::size_t c = k; c < n; ++c) {
         double s = 0.0;
         for (std::size_t rr = k; rr < m; ++rr) s += std::norm(r(rr, c));
-        col_norms[c] = s;
         if (s > best_norm) {
           best_norm = s;
           best = c;
@@ -177,13 +192,12 @@ Qr qr_impl(const CMat& a, bool full, bool pivot, double rel_tol) {
       if (best != k) {
         for (std::size_t rr = 0; rr < m; ++rr) std::swap(r(rr, best), r(rr, k));
         std::swap(perm[best], perm[k]);
-        std::swap(col_norms[best], col_norms[k]);
       }
     }
 
     // Build the Householder reflector annihilating r(k+1..m-1, k).
     const std::size_t len = m - k;
-    CVec v(len);
+    v.resize(len);
     double xnorm_sq = 0.0;
     for (std::size_t i = 0; i < len; ++i) {
       v[i] = r(k + i, k);
@@ -227,18 +241,11 @@ Qr qr_impl(const CMat& a, bool full, bool pivot, double rel_tol) {
     }
   }
 
-  Qr out;
-  if (full) {
-    out.q = q;
-    out.r = r;
-  } else {
-    out.q = q.block(0, m, 0, t);
-    out.r = r.block(0, t, 0, n);
+  if (!full) {
+    q = q.block(0, m, 0, t);
+    r = r.block(0, t, 0, n);
   }
-  if (pivot) {
-    out.col_perm = perm;
-    out.rank = rank;
-  }
+  if (pivot) out.rank = rank;
   return out;
 }
 

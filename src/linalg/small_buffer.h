@@ -23,7 +23,8 @@ class SmallBuf {
   // 4x4 complex matrix — the largest per-subcarrier MIMO operand.
   static constexpr std::size_t kInlineCapacity = 16;
 
-  SmallBuf() = default;
+  // Not defaulted: the raw inline union below would delete it.
+  SmallBuf() {}
 
   explicit SmallBuf(std::size_t n) { resize(n); }
 
@@ -122,7 +123,11 @@ class SmallBuf {
 
   std::size_t size_ = 0;
   std::size_t cap_ = kInlineCapacity;
-  value_type inline_[kInlineCapacity];
+  // Raw inline storage: no element past size_ is ever read, so a fresh
+  // buffer leaves it unwritten instead of zeroing all 16 slots.
+  union {
+    value_type inline_[kInlineCapacity];
+  };
   value_type* ptr_ = inline_;
 };
 

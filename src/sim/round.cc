@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "linalg/decomp.h"
-#include "linalg/simd/batch.h"
-#include "linalg/simd/kernels.h"
 #include "linalg/subspace.h"
 #include "nulling/precoder.h"
 #include "phy/esnr.h"
@@ -42,30 +39,42 @@ std::size_t sanitize_sinrs(std::vector<double>& sinrs) {
   return n;
 }
 
-// Batched per-subcarrier effective channel: eff[s] = amp * (H_s * V_s) for
-// every subcarrier at once through the SIMD matmul + scale kernels. Per
-// lane the kernels run the exact op sequence of the scalar
-// `amp * (w.channel(a, b, s) * v[s])`, so the unpacked matrices are
-// byte-identical to the per-subcarrier scalar products (the two fidelity
-// modes share this path through eff_true and the RTS-channel loop).
-std::vector<CMat> batched_effective(const World& w, std::size_t tx,
-                                    std::size_t node,
-                                    const std::vector<CMat>& v,
-                                    cdouble amp) {
-  assert(v.size() == kSc);
-  const CMat& h0 = w.channel(tx, node, 0);
-  linalg::simd::CBatch hb(h0.rows(), h0.cols(), kSc);
-  linalg::simd::CBatch vb(v[0].rows(), v[0].cols(), kSc);
-  linalg::simd::CBatch ob;
-  for (std::size_t s = 0; s < kSc; ++s) {
-    hb.set_lane(s, w.channel(tx, node, s));
-    vb.set_lane(s, v[s]);
+// Copies columns `cols` of `src` into `dst` from column `at` on and returns
+// the next free column: observations are assembled in matrices sized once,
+// in the column order the receiver sees them.
+std::size_t put_cols(const CMat& src, const std::vector<std::size_t>& cols,
+                     CMat& dst, std::size_t at) {
+  assert(src.rows() == dst.rows() && at + cols.size() <= dst.cols());
+  for (std::size_t c : cols) {
+    for (std::size_t r = 0; r < src.rows(); ++r) dst(r, at) = src(r, c);
+    ++at;
   }
-  linalg::simd::matmul(hb, vb, ob);
-  linalg::simd::scale(ob, amp);
-  std::vector<CMat> eff(kSc);
-  for (std::size_t s = 0; s < kSc; ++s) ob.get_lane(s, eff[s]);
-  return eff;
+  return at;
+}
+
+// put_cols over every column of `src`.
+std::size_t put_all_cols(const CMat& src, CMat& dst, std::size_t at) {
+  assert(src.rows() == dst.rows() && at + src.cols() <= dst.cols());
+  for (std::size_t r = 0; r < src.rows(); ++r) {
+    for (std::size_t c = 0; c < src.cols(); ++c) dst(r, at + c) = src(r, c);
+  }
+  return at + src.cols();
+}
+
+// Effective channel out = amp * (h * v) of one subcarrier: mul_into, then
+// the naive complex product by (amp, 0) that linalg::simd::scale computes,
+// so the result is byte-identical to the batch kernels' per lane. The
+// products with the zero imaginary part stay: they set signed zeros and
+// carry NaN exactly as the kernel does.
+void effective_into(const CMat& h, const CMat& v, double amp, CMat& out) {
+  linalg::mul_into(h, v, out);
+  const double si = 0.0;
+  cdouble* p = out.data();
+  for (std::size_t i = 0; i < out.rows() * out.cols(); ++i) {
+    const double tr = p[i].real();
+    const double ti = p[i].imag();
+    p[i] = {tr * amp - ti * si, tr * si + ti * amp};
+  }
 }
 
 }  // namespace
@@ -91,6 +100,12 @@ std::vector<std::size_t> Scenario::links_of(std::size_t tx) const {
 namespace {
 
 struct ActiveLink {
+  ActiveLink() = default;
+  ActiveLink(ActiveLink&&) = default;
+  ActiveLink& operator=(ActiveLink&&) = default;
+  ActiveLink(const ActiveLink&) = delete;
+  ActiveLink& operator=(const ActiveLink&) = delete;
+
   std::size_t link_idx = 0;
   std::size_t rx_node = 0;
   std::size_t n_streams = 0;
@@ -99,13 +114,34 @@ struct ActiveLink {
   double esnr_db = -100.0;
   // Per subcarrier: W = orthogonal_complement(U) of the advertised
   // unwanted space U (N x dim W), the receiver's interference-free
-  // directions. Computed once when the link advertises; joiners' nulling
-  // rows, the Eq. 7 own rows and every SINR evaluation read it.
+  // directions, and W^H, the rows joiners' nulling constraints and the
+  // Eq. 7 own rows read. Computed once when the link advertises.
   std::vector<CMat> receive_space;
+  std::vector<CMat> receive_rows;
   std::vector<CMat> g_est;             // receiver's data-preamble estimate
+  // Per subcarrier: the receiver's combiner, solved by the join-time SINR
+  // evaluation and read back by finalize (same W, g_est and noise).
+  std::vector<ZfSolve> solve;
+  // Join-time SINRs as zf_stream_sinr returned them (subcarrier-major),
+  // before fault poisoning and sanitizing. For the last admitted group they
+  // are also the final SINRs: nobody joined after it.
+  std::vector<double> join_sinrs;
+};
+
+// Effective channels of one group at one node, per subcarrier: the truth
+// (amplitude included) and that node's estimate of it. Empty until read.
+struct NodeChannels {
+  std::vector<CMat> truth;
+  std::vector<CMat> est;
 };
 
 struct ActiveGroup {
+  ActiveGroup() = default;
+  ActiveGroup(ActiveGroup&&) = default;
+  ActiveGroup& operator=(ActiveGroup&&) = default;
+  ActiveGroup(const ActiveGroup&) = delete;
+  ActiveGroup& operator=(const ActiveGroup&) = delete;
+
   std::size_t tx_node = 0;
   std::size_t m = 0;                   // streams
   double stream_amp = 1.0;             // per-stream amplitude scale
@@ -116,7 +152,14 @@ struct ActiveGroup {
   // transmission (§3.1/§6.3), so a joiner pays in lost body symbols, not in
   // extra round airtime.
   double body_start_offset_s = 0.0;
+  // This group's effective channels, indexed by node. Rolling the group
+  // back drops them with it.
+  std::vector<NodeChannels> at_node;
 };
+
+// Per-subcarrier constraint lists of the receivers already on the air, as a
+// joiner's precoder sees them.
+using OngoingLists = std::vector<std::vector<nulling::OngoingReceiver>>;
 
 class RoundBuilder {
  public:
@@ -169,17 +212,31 @@ class RoundBuilder {
   // from group g's data preamble / overheard handshake).
   const std::vector<CMat>& eff_est(std::size_t g, std::size_t node);
 
-  // Interference estimate at `node`: stacked eff_est of groups != `except`.
-  CMat stacked_est_interference(std::size_t node, std::size_t s,
-                                std::size_t except);
-
   bool admission_ok(std::size_t tx, double* power_backoff_db) const;
   bool try_join(std::size_t tx);
-  // One attempt at joining with at most `m_target` streams; rolls itself
-  // back and returns false if no link of the group can sustain any rate.
-  bool try_join_with(std::size_t tx, std::size_t m_target);
+  // One attempt at joining with at most `m_target` streams over the
+  // candidate `links`; rolls itself back and returns false if no link of
+  // the group can sustain any rate.
+  bool try_join_with(std::size_t tx, std::size_t m_target,
+                     const std::vector<std::size_t>& links, double power_scale,
+                     const OngoingLists& ongoing);
   void rollback_group(std::size_t g_idx);
 
+  // eff_true(g, node) of every admitted group g, indexed by group.
+  std::vector<const std::vector<CMat>*> truths_at(std::size_t node);
+  // Fills `obs` with what link l of group g sees on subcarrier s while
+  // every admitted group is on the air: its own columns of group g, then,
+  // in group order, every other group's columns and (at g) its siblings'
+  // columns; plus its receive space and the noise. g_est and the solve
+  // slot are the caller's. `truths` is truths_at(l.rx_node).
+  void observe(std::size_t g, const ActiveLink& l, std::size_t s,
+               const std::vector<const std::vector<CMat>*>& truths,
+               RxObservation& obs) const;
+  // SINRs of link l of group g with every group on the air, subcarrier-
+  // major; with `models` set, the full-PHY observation models as well.
+  std::vector<double> final_sinrs(
+      std::size_t g, ActiveLink& l,
+      std::vector<std::vector<phy::StreamRxModel>>* models);
   void finalize(RoundResult& result);
 
   const World& w_;
@@ -207,45 +264,31 @@ class RoundBuilder {
   std::size_t used_dof_ = 0;
   double primary_overhead_s_ = 0.0;   // primary contention + first handshake
   double joiner_offset_s_ = 0.0;      // accumulated joiner delay (see above)
-
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<CMat>>
-      eff_true_cache_;
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<CMat>>
-      eff_est_cache_;
 };
 
 const std::vector<CMat>& RoundBuilder::eff_true(std::size_t g,
                                                 std::size_t node) {
-  const auto key = std::make_pair(g, node);
-  auto it = eff_true_cache_.find(key);
-  if (it != eff_true_cache_.end()) return it->second;
-
-  const ActiveGroup& grp = groups_[g];
-  std::vector<CMat> eff = batched_effective(w_, grp.tx_node, node, grp.v,
-                                            cdouble{grp.stream_amp, 0.0});
-  return eff_true_cache_.emplace(key, std::move(eff)).first->second;
+  ActiveGroup& grp = groups_[g];
+  std::vector<CMat>& eff = grp.at_node[node].truth;
+  if (eff.empty()) {
+    eff.resize(kSc);
+    for (std::size_t s = 0; s < kSc; ++s) {
+      effective_into(w_.channel(grp.tx_node, node, s), grp.v[s],
+                     grp.stream_amp, eff[s]);
+    }
+  }
+  return eff;
 }
 
 const std::vector<CMat>& RoundBuilder::eff_est(std::size_t g,
                                                std::size_t node) {
-  const auto key = std::make_pair(g, node);
-  auto it = eff_est_cache_.find(key);
-  if (it != eff_est_cache_.end()) return it->second;
-
-  const std::vector<CMat>& truth = eff_true(g, node);
-  std::vector<CMat> est(kSc);
-  for (std::size_t s = 0; s < kSc; ++s) est[s] = w_.estimate(truth[s]);
-  return eff_est_cache_.emplace(key, std::move(est)).first->second;
-}
-
-CMat RoundBuilder::stacked_est_interference(std::size_t node, std::size_t s,
-                                            std::size_t except) {
-  CMat out(w_.antennas(node), 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (g == except) continue;
-    out = out.hstack(eff_est(g, node)[s]);
+  std::vector<CMat>& est = groups_[g].at_node[node].est;
+  if (est.empty()) {
+    const std::vector<CMat>& truth = eff_true(g, node);
+    est.resize(kSc);
+    for (std::size_t s = 0; s < kSc; ++s) est[s] = w_.estimate(truth[s]);
   }
-  return out;
+  return est;
 }
 
 bool RoundBuilder::admission_ok(std::size_t tx,
@@ -272,50 +315,79 @@ bool RoundBuilder::admission_ok(std::size_t tx,
 bool RoundBuilder::try_join(std::size_t tx) {
   const std::size_t m_ant = w_.antennas(tx);
   if (m_ant <= used_dof_) return false;
+
+  // Links whose receiver can still decode in the presence of the existing
+  // DoF. Neither they, the admission verdict nor the ongoing constraints
+  // depend on the stream target, so the retries below share them.
+  std::vector<std::size_t> links;
+  for (std::size_t li : active_links_of(tx)) {
+    if (w_.antennas(sc_.links[li].rx_node) > used_dof_) links.push_back(li);
+  }
+  if (links.empty()) return false;
+
+  // Admission / power control (§4).
+  double backoff_db = 0.0;
+  if (!admission_ok(tx, &backoff_db)) return false;
+  const double power_scale = util::from_db(backoff_db);
+
+  // Ongoing constraints from every active receiver, per subcarrier. A
+  // blind joiner (missed headers, fallback off) never learned the ongoing
+  // receivers' unwanted spaces: its constraint list stays empty and its
+  // precoder sprays uncontrolled interference — finalize() prices the
+  // collision into everyone's final SINR. Belief reads draw only from
+  // per-pair streams, so building this before any estimate is draw-safe.
+  OngoingLists ongoing(kSc);
+  if (!blind(tx)) {
+    std::size_t n_ongoing = 0;
+    for (const auto& g : groups_) n_ongoing += g.links.size();
+    for (std::size_t s = 0; s < kSc; ++s) {
+      ongoing[s].reserve(n_ongoing);
+      for (const auto& g : groups_) {
+        for (const auto& l : g.links) {
+          ongoing[s].push_back(nulling::OngoingReceiver{
+              w_.reciprocal_channel(tx, l.rx_node, s), l.receive_rows[s]});
+        }
+      }
+    }
+  }
+
   // A joiner whose maximum stream count (Claim 3.2) cannot sustain a rate
   // retries with fewer, higher-powered streams before giving up — using a
   // degree of freedom it cannot fill would waste it for everyone.
   for (std::size_t m_target = m_ant - used_dof_; m_target >= 1; --m_target) {
-    if (try_join_with(tx, m_target)) return true;
+    if (try_join_with(tx, m_target, links, power_scale, ongoing)) {
+      return true;
+    }
   }
   return false;
 }
 
 void RoundBuilder::rollback_group(std::size_t g_idx) {
+  assert(g_idx + 1 == groups_.size());
   used_dof_ -= groups_[g_idx].m;
   groups_.pop_back();
-  for (auto it = eff_true_cache_.begin(); it != eff_true_cache_.end();) {
-    it = it->first.first == g_idx ? eff_true_cache_.erase(it) : ++it;
-  }
-  for (auto it = eff_est_cache_.begin(); it != eff_est_cache_.end();) {
-    it = it->first.first == g_idx ? eff_est_cache_.erase(it) : ++it;
-  }
 }
 
-bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
+bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target,
+                                 const std::vector<std::size_t>& link_ids,
+                                 double power_scale,
+                                 const OngoingLists& ongoing) {
   const std::size_t m_ant = w_.antennas(tx);
-  const std::size_t m_avail = m_target;
 
   // Allocate streams across this transmitter's links, capped by each
   // receiver's ability to decode in the presence of the existing DoF.
-  std::vector<ActiveLink> links;
-  for (std::size_t li : active_links_of(tx)) {
-    const std::size_t n_rx = w_.antennas(sc_.links[li].rx_node);
-    if (n_rx <= used_dof_) continue;
-    ActiveLink l;
-    l.link_idx = li;
-    l.rx_node = sc_.links[li].rx_node;
-    l.n_streams = 0;
-    links.push_back(l);
+  std::vector<ActiveLink> links(link_ids.size());
+  for (std::size_t i = 0; i < link_ids.size(); ++i) {
+    links[i].link_idx = link_ids[i];
+    links[i].rx_node = sc_.links[link_ids[i]].rx_node;
   }
-  if (links.empty()) return false;
   // Round-robin stream allocation.
   std::size_t m = 0;
   bool progress = true;
-  while (m < m_avail && progress) {
+  while (m < m_target && progress) {
     progress = false;
     for (auto& l : links) {
-      if (m >= m_avail) break;
+      if (m >= m_target) break;
       const std::size_t cap = w_.antennas(l.rx_node) - used_dof_;
       if (l.n_streams < cap) {
         ++l.n_streams;
@@ -331,11 +403,6 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
               links.end());
   if (m == 0 || links.empty()) return false;
 
-  // Admission / power control (§4).
-  double backoff_db = 0.0;
-  if (!admission_ok(tx, &backoff_db)) return false;
-  const double power_scale = util::from_db(backoff_db);
-
   // Assign global stream columns per link.
   std::size_t next_col = 0;
   for (auto& l : links) {
@@ -345,29 +412,11 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
   }
 
   // --- Precoder (§3.3) --------------------------------------------------
-  // Ongoing constraints from every active receiver, per subcarrier. A
-  // blind joiner (missed headers, fallback off) never learned the ongoing
-  // receivers' unwanted spaces: its constraint list stays empty and its
-  // precoder sprays uncontrolled interference — finalize() prices the
-  // collision into everyone's final SINR.
-  std::vector<std::vector<nulling::OngoingReceiver>> ongoing(kSc);
-  if (!blind(tx)) {
-    for (std::size_t s = 0; s < kSc; ++s) {
-      for (const auto& g : groups_) {
-        for (const auto& l : g.links) {
-          ongoing[s].push_back(nulling::OngoingReceiver{
-              w_.reciprocal_channel(tx, l.rx_node, s),
-              l.receive_space[s].hermitian()});
-        }
-      }
-    }
-  }
-
   ActiveGroup grp;
   grp.tx_node = tx;
   grp.m = m;
   grp.stream_amp = std::sqrt(power_scale / static_cast<double>(m));
-  grp.v.resize(kSc);
+  grp.at_node.resize(w_.n_nodes());
 
   // RTS-stage precoder: a null-space basis of the ongoing constraints. For
   // a single intended receiver this is also the final precoder.
@@ -386,35 +435,46 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
   // (wanted) streams and sibling streams destined to other receivers —
   // the latter will be routed away by the Eq. 7 precoder, so they count as
   // interference, not as wanted directions, when choosing the space.
+  // Draw order: each subcarrier's RTS estimate precedes the first estimate
+  // of an ongoing group at this receiver (eff_est), as it always has.
   for (auto& l : links) {
+    const std::size_t n_rx = w_.antennas(l.rx_node);
     l.receive_space.resize(kSc);
-    const std::vector<CMat> g_rts_all = batched_effective(
-        w_, tx, l.rx_node, v_rts, cdouble{grp.stream_amp, 0.0});
+    l.receive_rows.resize(kSc);
+    std::vector<CMat> g_rts(kSc);
+    CMat g_own(n_rx, l.n_streams);
+    CMat f_est(n_rx, used_dof_);
     for (std::size_t s = 0; s < kSc; ++s) {
-      const CMat g_rts_est = w_.estimate(g_rts_all[s]);
-      CMat g_own(g_rts_est.rows(), 0);
-      CMat f_est = stacked_est_interference(l.rx_node, s, SIZE_MAX);
-      for (std::size_t c = 0; c < g_rts_est.cols(); ++c) {
-        const CMat col = g_rts_est.block(0, g_rts_est.rows(), c, c + 1);
-        if (std::find(l.cols.begin(), l.cols.end(), c) != l.cols.end()) {
-          g_own = g_own.hstack(col);
-        }
+      effective_into(w_.channel(tx, l.rx_node, s), v_rts[s], grp.stream_amp,
+                     g_rts[s]);
+      const CMat g_rts_est = w_.estimate(g_rts[s]);
+      put_cols(g_rts_est, l.cols, g_own, 0);
+      std::size_t at = 0;
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        at = put_all_cols(eff_est(g, l.rx_node)[s], f_est, at);
       }
       l.receive_space[s] = linalg::orthogonal_complement(
           advertised_unwanted_space(g_own, f_est, l.n_streams));
+      l.receive_rows[s] = l.receive_space[s].hermitian();
     }
+    // A single receiver's RTS precoder is the group's: its RTS channels
+    // are the group's effective channels there.
+    if (links.size() == 1) grp.at_node[l.rx_node].truth = std::move(g_rts);
   }
 
   if (links.size() == 1) {
     grp.v = std::move(v_rts);
   } else {
     // Multi-receiver transmission: Eq. 7 with own-receiver routing rows.
+    grp.v.resize(kSc);
+    std::vector<nulling::OwnReceiver> own(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      own[i].stream_ids = links[i].cols;
+    }
     for (std::size_t s = 0; s < kSc; ++s) {
-      std::vector<nulling::OwnReceiver> own;
-      for (const auto& l : links) {
-        own.push_back(nulling::OwnReceiver{
-            w_.reciprocal_channel(tx, l.rx_node, s),
-            l.receive_space[s].hermitian(), l.cols});
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        own[i].channel = w_.reciprocal_channel(tx, links[i].rx_node, s);
+        own[i].wanted_space = links[i].receive_rows[s];
       }
       const auto pre =
           nulling::compute_multi_rx_precoder(m_ant, ongoing[s], own);
@@ -430,61 +490,47 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
 
   // --- Rate selection at join time (§3.4) -------------------------------
   for (auto& l : groups_[g_idx].links) {
-    const std::vector<CMat>& truth = eff_true(g_idx, l.rx_node);
+    const std::vector<const std::vector<CMat>*> truths = truths_at(l.rx_node);
+    RxObservation obs;
     l.g_est.resize(kSc);
-    std::vector<double> sinrs;
+    l.solve.resize(kSc);
+    std::vector<double>& sinrs = l.join_sinrs;
     sinrs.reserve(kSc * l.n_streams);
     for (std::size_t s = 0; s < kSc; ++s) {
-      RxObservation obs;
-      obs.g_true = CMat(w_.antennas(l.rx_node), 0);
-      for (std::size_t c : l.cols) {
-        obs.g_true = obs.g_true.hstack(
-            truth[s].block(0, truth[s].rows(), c, c + 1));
-      }
-      obs.g_est = w_.estimate(obs.g_true);
-      l.g_est[s] = obs.g_est;
-      // Interference: earlier groups + this group's other-link columns.
-      CMat f(w_.antennas(l.rx_node), 0);
-      for (std::size_t g = 0; g + 1 < groups_.size(); ++g) {
-        f = f.hstack(eff_true(g, l.rx_node)[s]);
-      }
-      for (const auto& other : groups_[g_idx].links) {
-        if (other.link_idx == l.link_idx) continue;
-        for (std::size_t c : other.cols) {
-          f = f.hstack(truth[s].block(0, truth[s].rows(), c, c + 1));
-        }
-      }
-      obs.interference_true = f;
-      obs.receive_space = l.receive_space[s];
-      obs.noise_power = w_.noise_power();
+      observe(g_idx, l, s, truths, obs);
+      l.g_est[s] = w_.estimate(obs.g_true);
+      obs.g_est = l.g_est[s];
+      obs.solve = &l.solve[s];
       const std::vector<double> sinr = zf_stream_sinr(obs);
       sinrs.insert(sinrs.end(), sinr.begin(), sinr.end());
     }
+    // Rate selection reads a sanitized copy; join_sinrs stays raw.
+    std::vector<double> picked = sinrs;
     // Injected degenerate CSI: this link's measurement came back as
     // garbage this round. Poison its SINRs so the sanitizer clamps them
     // and rate selection finds nothing — the link defers instead of
     // transmitting with a nonsense projection.
     if (cfg_.faults != nullptr &&
         cfg_.faults->channel_degenerate(l.link_idx)) {
-      for (double& s : sinrs) s = std::numeric_limits<double>::quiet_NaN();
+      for (double& s : picked) s = std::numeric_limits<double>::quiet_NaN();
     }
-    degen_count_ += sanitize_sinrs(sinrs);
+    degen_count_ += sanitize_sinrs(picked);
     if (cfg_.rate_control != nullptr) {
       // History-driven adaptation: the transmitter uses its AARF state, not
       // the oracle eSNR — it has no way to measure the post-projection SNR
       // it is about to get. The eSNR is still recorded for diagnostics.
       l.mcs = cfg_.rate_control->select(l.link_idx);
       l.esnr_db = util::to_db(std::max(
-          phy::effective_snr(sinrs,
+          phy::effective_snr(picked,
                              phy::mcs_by_index(l.mcs).modulation),
           1e-30));
       continue;
     }
-    const Mcs* mcs = phy::select_mcs_esnr(sinrs, cfg_.rate_margin_db);
+    const Mcs* mcs = phy::select_mcs_esnr(picked, cfg_.rate_margin_db);
     if (mcs != nullptr) {
       l.mcs = mcs->index;
       l.esnr_db = util::to_db(std::max(
-          phy::effective_snr(sinrs, mcs->modulation), 1e-30));
+          phy::effective_snr(picked, mcs->modulation), 1e-30));
     }
   }
 
@@ -500,6 +546,68 @@ bool RoundBuilder::try_join_with(std::size_t tx, std::size_t m_target) {
     }
   }
   return true;
+}
+
+std::vector<const std::vector<CMat>*> RoundBuilder::truths_at(
+    std::size_t node) {
+  std::vector<const std::vector<CMat>*> truths(groups_.size());
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    truths[g] = &eff_true(g, node);
+  }
+  return truths;
+}
+
+void RoundBuilder::observe(std::size_t g, const ActiveLink& l, std::size_t s,
+                           const std::vector<const std::vector<CMat>*>& truths,
+                           RxObservation& obs) const {
+  const std::size_t n_rx = w_.antennas(l.rx_node);
+  obs.g_true.resize(n_rx, l.n_streams);
+  obs.interference_true.resize(n_rx, used_dof_ - l.n_streams);
+  const CMat& own = (*truths[g])[s];
+  put_cols(own, l.cols, obs.g_true, 0);
+  std::size_t at = 0;
+  for (std::size_t og = 0; og < truths.size(); ++og) {
+    if (og != g) {
+      at = put_all_cols((*truths[og])[s], obs.interference_true, at);
+      continue;
+    }
+    for (const auto& other : groups_[g].links) {
+      if (other.link_idx == l.link_idx) continue;
+      at = put_cols(own, other.cols, obs.interference_true, at);
+    }
+  }
+  obs.receive_space = l.receive_space[s];
+  obs.noise_power = w_.noise_power();
+}
+
+std::vector<double> RoundBuilder::final_sinrs(
+    std::size_t g, ActiveLink& l,
+    std::vector<std::vector<phy::StreamRxModel>>* models) {
+  // The last admitted group joined with every other group already on the
+  // air: observe() gave it the final observation then, column for column.
+  if (models == nullptr && g + 1 == groups_.size()) {
+    return std::move(l.join_sinrs);
+  }
+  const std::vector<const std::vector<CMat>*> truths = truths_at(l.rx_node);
+  RxObservation obs;
+  std::vector<double> sinrs;
+  sinrs.reserve(kSc * l.n_streams);
+  for (std::size_t s = 0; s < kSc; ++s) {
+    observe(g, l, s, truths, obs);
+    obs.g_est = l.g_est[s];
+    obs.solve = &l.solve[s];
+    if (models == nullptr) {
+      const std::vector<double> sinr = zf_stream_sinr(obs);
+      sinrs.insert(sinrs.end(), sinr.begin(), sinr.end());
+    } else {
+      std::vector<phy::StreamRxModel> sm = zf_stream_rx_models(obs);
+      for (std::size_t j = 0; j < sm.size(); ++j) {
+        sinrs.push_back(sm[j].sinr);
+        (*models)[j].push_back(std::move(sm[j]));
+      }
+    }
+  }
+  return sinrs;
 }
 
 void RoundBuilder::finalize(RoundResult& result) {
@@ -543,56 +651,18 @@ void RoundBuilder::finalize(RoundResult& result) {
       if (l.mcs < 0) continue;
       const Mcs& mcs = phy::mcs_by_index(l.mcs);
 
-      const std::vector<CMat>& truth = eff_true(g, l.rx_node);
-      std::vector<double> sinrs;
-      sinrs.reserve(kSc * l.n_streams);
-      std::vector<std::vector<double>> stream_sinr(l.n_streams);
-      for (auto& v : stream_sinr) v.reserve(kSc);
       // Per-stream symbol observation models, kept only for full-PHY
-      // scoring (kSc entries per stream once the loop finishes).
+      // scoring (kSc entries per stream once final_sinrs returns).
       std::vector<std::vector<phy::StreamRxModel>> stream_models(
           cfg_.fidelity == Fidelity::kFullPhy ? l.n_streams : 0);
       for (auto& v : stream_models) v.reserve(kSc);
-      for (std::size_t s = 0; s < kSc; ++s) {
-        RxObservation obs;
-        obs.g_true = CMat(w_.antennas(l.rx_node), 0);
-        for (std::size_t c : l.cols) {
-          obs.g_true = obs.g_true.hstack(
-              truth[s].block(0, truth[s].rows(), c, c + 1));
-        }
-        obs.g_est = l.g_est[s];
-        CMat f(w_.antennas(l.rx_node), 0);
-        for (std::size_t og = 0; og < groups_.size(); ++og) {
-          if (og == g) {
-            for (const auto& other : groups_[g].links) {
-              if (other.link_idx == l.link_idx) continue;
-              for (std::size_t c : other.cols) {
-                f = f.hstack(truth[s].block(0, truth[s].rows(), c, c + 1));
-              }
-            }
-          } else {
-            f = f.hstack(eff_true(og, l.rx_node)[s]);
-          }
-        }
-        obs.interference_true = f;
-        obs.receive_space = l.receive_space[s];
-        obs.noise_power = w_.noise_power();
-        if (stream_models.empty()) {
-          const std::vector<double> sinr = zf_stream_sinr(obs);
-          for (std::size_t j = 0; j < sinr.size() && j < l.n_streams;
-               ++j) {
-            sinrs.push_back(sinr[j]);
-            stream_sinr[j].push_back(sinr[j]);
-          }
-        } else {
-          std::vector<phy::StreamRxModel> models =
-              zf_stream_rx_models(obs);
-          for (std::size_t j = 0; j < models.size() && j < l.n_streams;
-               ++j) {
-            sinrs.push_back(models[j].sinr);
-            stream_sinr[j].push_back(models[j].sinr);
-            stream_models[j].push_back(std::move(models[j]));
-          }
+      std::vector<double> sinrs = final_sinrs(
+          g, l, stream_models.empty() ? nullptr : &stream_models);
+      std::vector<std::vector<double>> stream_sinr(l.n_streams);
+      for (std::size_t j = 0; j < l.n_streams; ++j) {
+        stream_sinr[j].reserve(kSc);
+        for (std::size_t s = 0; s < kSc; ++s) {
+          stream_sinr[j].push_back(sinrs[s * l.n_streams + j]);
         }
       }
       // Near-singular evolved channels can make the final ZF math blow up
@@ -823,6 +893,18 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
   std::size_t max_syms = 0;
   for (std::size_t d = 0; d < spec.dests.size(); ++d) {
     const auto& dest = spec.dests[d];
+    // Every other destination's columns interfere, in column order.
+    std::vector<std::size_t> others;
+    for (std::size_t c = 0; c < m; ++c) {
+      if (std::find(cols[d].begin(), cols[d].end(), c) == cols[d].end()) {
+        others.push_back(c);
+      }
+    }
+    const std::size_t n_rx = world.antennas(dest.rx_node);
+    RxObservation obs;
+    obs.g_true.resize(n_rx, cols[d].size());
+    obs.interference_true.resize(n_rx, others.size());
+    obs.noise_power = world.noise_power();
     std::vector<double> sinrs;
     std::vector<std::vector<double>> stream_sinr(dest.n_streams);
     for (auto& sv : stream_sinr) sv.reserve(kSc);
@@ -832,27 +914,17 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
     for (std::size_t s = 0; s < kSc; ++s) {
       const CMat eff = cdouble{amp, 0.0} *
                        (world.channel(spec.tx_node, dest.rx_node, s) * v[s]);
-      RxObservation obs;
-      obs.g_true = CMat(eff.rows(), 0);
-      CMat f(eff.rows(), 0);
-      for (std::size_t c = 0; c < eff.cols(); ++c) {
-        const CMat col = eff.block(0, eff.rows(), c, c + 1);
-        if (std::find(cols[d].begin(), cols[d].end(), c) != cols[d].end()) {
-          obs.g_true = obs.g_true.hstack(col);
-        } else {
-          f = f.hstack(col);
-        }
-      }
+      put_cols(eff, cols[d], obs.g_true, 0);
+      put_cols(eff, others, obs.interference_true, 0);
       obs.g_est = world.estimate(obs.g_true);
-      obs.interference_true = f;
-      if (f.cols() > 0) {
+      if (!others.empty()) {
         obs.receive_space = linalg::orthogonal_complement(
-            advertised_unwanted_space(obs.g_est, world.estimate(f),
-                                      dest.n_streams));
+            advertised_unwanted_space(
+                obs.g_est, world.estimate(obs.interference_true),
+                dest.n_streams));
       } else {
-        obs.receive_space = CMat::identity(eff.rows());  // nothing to reject
+        obs.receive_space = CMat::identity(n_rx);  // nothing to reject
       }
-      obs.noise_power = world.noise_power();
       if (stream_models.empty()) {
         const std::vector<double> sinr = zf_stream_sinr(obs);
         for (std::size_t j = 0; j < sinr.size() && j < dest.n_streams;

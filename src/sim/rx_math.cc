@@ -45,31 +45,52 @@ CMat advertised_unwanted_space(const CMat& g_est, const CMat& f_est,
   return base.hstack(extra.block(0, extra.rows(), 0, need));
 }
 
+namespace {
+
+// The combiner of `obs` (see ZfSolve), read from obs.solve when that slot is
+// already filled and solved into it (or into `local` when obs.solve is
+// nullptr) otherwise. nullptr when the projected space cannot support the
+// streams or the regularized Gram is singular: the callers report zeros.
+//
+// MMSE-regularized inversion of the estimated effective channel inside the
+// projected space: at high SNR this is the paper's zero-forcing; at low SNR
+// it avoids the catastrophic noise enhancement of a near-singular inverse,
+// matching how practical 802.11n receivers behave.
+const CMat* zf_combiner(const RxObservation& obs, ZfSolve& local) {
+  const CMat& w = obs.receive_space;
+  if (w.cols() < obs.g_true.cols()) return nullptr;
+  ZfSolve& slot = obs.solve != nullptr ? *obs.solve : local;
+  if (!slot.solved) {
+    slot.solved = true;
+    const CMat wh = w.hermitian();
+    const CMat a = wh * obs.g_est;  // d x n (estimated)
+    CMat reg = a.hermitian() * a;   // n x n
+    for (std::size_t i = 0; i < reg.rows(); ++i) {
+      reg(i, i) += cdouble{obs.noise_power, 0.0};
+    }
+    const auto reg_inv = linalg::inverse(reg);
+    slot.singular = !reg_inv.has_value();
+    if (!slot.singular) {
+      slot.combiner = (*reg_inv) * a.hermitian() * wh;  // n x N
+    }
+  }
+  return slot.singular ? nullptr : &slot.combiner;
+}
+
+}  // namespace
+
 std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
   const std::size_t n = obs.g_true.cols();
   std::vector<StreamRxModel> models(n);
 
-  const CMat& w = obs.receive_space;
-  if (w.cols() < n) return models;
+  ZfSolve local;
+  const CMat* combiner = zf_combiner(obs, local);
+  if (combiner == nullptr) return models;
 
-  // MMSE-regularized inversion of the estimated effective channel inside
-  // the projected space: at high SNR this is the paper's zero-forcing; at
-  // low SNR it avoids the catastrophic noise enhancement of a near-singular
-  // inverse, matching how practical 802.11n receivers behave.
-  const CMat a = w.hermitian() * obs.g_est;  // d x n (estimated)
-  const CMat gram = a.hermitian() * a;       // n x n
-  CMat reg = gram;
-  for (std::size_t i = 0; i < reg.rows(); ++i) {
-    reg(i, i) += cdouble{obs.noise_power, 0.0};
-  }
-  const auto reg_inv = linalg::inverse(reg);
-  if (!reg_inv.has_value()) return models;
-  const CMat combiner = (*reg_inv) * a.hermitian() * w.hermitian();  // n x N
-
-  const CMat own = combiner * obs.g_true;  // ~identity under perfect est.
+  const CMat own = *combiner * obs.g_true;  // ~identity under perfect est.
   CMat leak;
   if (obs.interference_true.cols() > 0) {
-    leak = combiner * obs.interference_true;  // n x j residual interference
+    leak = *combiner * obs.interference_true;  // n x j residual interference
   }
 
   for (std::size_t s = 0; s < n; ++s) {
@@ -88,38 +109,25 @@ std::vector<StreamRxModel> zf_stream_rx_models(const RxObservation& obs) {
       m.leak.push_back(leak(s, c));
       err += std::norm(leak(s, c));
     }
-    m.noise_var = combiner.row(s).norm_sq() * obs.noise_power;
+    m.noise_var = combiner->row(s).norm_sq() * obs.noise_power;
     err += m.noise_var;
     m.sinr = err > 0.0 ? sig / err : 1e12;
   }
   return models;
 }
 
-// Kept separate from zf_stream_rx_models on purpose: this summary runs in
-// the packet simulator's hottest loop (every subcarrier of every join
-// attempt), where the models' per-stream gain vectors would be pure
-// allocation churn. The combiner math is identical.
 std::vector<double> zf_stream_sinr(const RxObservation& obs) {
   const std::size_t n = obs.g_true.cols();
   std::vector<double> sinr(n, 0.0);
 
-  const CMat& w = obs.receive_space;
-  if (w.cols() < n) return sinr;
+  ZfSolve local;
+  const CMat* combiner = zf_combiner(obs, local);
+  if (combiner == nullptr) return sinr;
 
-  const CMat a = w.hermitian() * obs.g_est;  // d x n (estimated)
-  const CMat gram = a.hermitian() * a;       // n x n
-  CMat reg = gram;
-  for (std::size_t i = 0; i < reg.rows(); ++i) {
-    reg(i, i) += cdouble{obs.noise_power, 0.0};
-  }
-  const auto reg_inv = linalg::inverse(reg);
-  if (!reg_inv.has_value()) return sinr;
-  const CMat combiner = (*reg_inv) * a.hermitian() * w.hermitian();  // n x N
-
-  const CMat own = combiner * obs.g_true;  // ~identity under perfect est.
+  const CMat own = *combiner * obs.g_true;  // ~identity under perfect est.
   CMat leak;
   if (obs.interference_true.cols() > 0) {
-    leak = combiner * obs.interference_true;  // n x j residual interference
+    leak = *combiner * obs.interference_true;  // n x j residual interference
   }
 
   for (std::size_t s = 0; s < n; ++s) {
@@ -131,7 +139,7 @@ std::vector<double> zf_stream_sinr(const RxObservation& obs) {
     for (std::size_t c = 0; c < leak.cols(); ++c) {
       err += std::norm(leak(s, c));
     }
-    err += combiner.row(s).norm_sq() * obs.noise_power;
+    err += combiner->row(s).norm_sq() * obs.noise_power;
     sinr[s] = err > 0.0 ? sig / err : 1e12;
   }
   return sinr;

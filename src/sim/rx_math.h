@@ -30,6 +30,17 @@ using linalg::CMat;
 CMat advertised_unwanted_space(const CMat& g_est, const CMat& f_est,
                                std::size_t n_wanted = 0);
 
+// The receiver's MMSE-regularized zero-forcing combiner for one (link,
+// subcarrier): C = (A^H A + noise_power I)^-1 A^H W^H with A = W^H g_est
+// (n x N). It depends only on receive_space W, g_est and noise_power, which
+// are all fixed once a link has joined, so a receiver solves it once per
+// round and every later evaluation of the same link reads it back.
+struct ZfSolve {
+  bool solved = false;    // filled by the first evaluation that used it
+  bool singular = false;  // the regularized Gram did not invert: zeros
+  CMat combiner;          // n x N when solved and not singular
+};
+
 // Observation model at one receiver on one subcarrier.
 struct RxObservation {
   CMat g_true;  // true effective channels of the wanted streams (N x n)
@@ -44,12 +55,19 @@ struct RxObservation {
   // round builder computes it once per advertising link and subcarrier.
   CMat receive_space;
   double noise_power = 0.0;
+  // Solve slot of this (link, subcarrier), or nullptr to solve locally.
+  // zf_stream_sinr/zf_stream_rx_models fill an empty slot and reuse a full
+  // one. A slot may only be shared by observations with the same
+  // receive_space, g_est and noise_power (and so the same stream count);
+  // g_true and interference_true are free to differ between them.
+  ZfSolve* solve = nullptr;
 };
 
 // Post-projection zero-forcing SINR of each wanted stream: the receiver
 // projects onto `receive_space`, inverts the estimated effective channel,
 // and eats whatever self-distortion, residual interference, and enhanced
-// noise remain.
+// noise remain. The summary the packet simulator's hottest loop reads
+// (every subcarrier of every join attempt): no per-stream gain vectors.
 std::vector<double> zf_stream_sinr(const RxObservation& obs);
 
 // One phy::StreamRxModel per wanted stream — the post-combining symbol

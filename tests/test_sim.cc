@@ -3,15 +3,22 @@
 // post-projection SINR), the n+ round builder, baselines and the runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "baselines/beamforming.h"
 #include "baselines/dot11n.h"
 #include "channel/testbed.h"
 #include "linalg/subspace.h"
+#include "sim/faults.h"
 #include "sim/round.h"
 #include "sim/runner.h"
 #include "sim/rx_math.h"
+#include "sim/scenario_gen.h"
 #include "sim/scenarios.h"
 #include "sim/world.h"
 #include "util/stats.h"
@@ -190,6 +197,161 @@ TEST(RxMath, OverloadedReceiverGetsZeroSinr) {
   const auto sinr = zf_stream_sinr(obs);
   EXPECT_DOUBLE_EQ(sinr[0], 0.0);
   EXPECT_DOUBLE_EQ(sinr[1], 0.0);
+}
+
+// --- One combiner solve per (link, subcarrier) -------------------------
+
+CMat random_mat(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  CMat m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.cgaussian();
+  }
+  return m;
+}
+
+// memcmp of two equally long vectors (an empty vector's data() may be null).
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_bits(const std::vector<StreamRxModel>& a,
+               const std::vector<StreamRxModel>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i].gain, &b[i].gain, sizeof(cdouble)) != 0 ||
+        !same_bits(a[i].self, b[i].self) ||
+        !same_bits(a[i].leak, b[i].leak) ||
+        std::memcmp(&a[i].noise_var, &b[i].noise_var, sizeof(double)) != 0 ||
+        std::memcmp(&a[i].sinr, &b[i].sinr, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Evaluates `obs` through a slot filled by `filler` (the first evaluation of
+// the same link) and reports whether both summaries match fresh solves of
+// `obs` bit for bit. Each summary is checked from a slot the other one
+// filled, so neither function only ever reads back its own solve.
+bool reused_matches_fresh(const RxObservation& filler,
+                          const RxObservation& obs) {
+  RxObservation fresh = obs;
+  fresh.solve = nullptr;
+  const std::vector<double> sinr = zf_stream_sinr(fresh);
+  const std::vector<StreamRxModel> models = zf_stream_rx_models(fresh);
+
+  ZfSolve by_sinr;
+  RxObservation first = filler;
+  first.solve = &by_sinr;
+  (void)zf_stream_sinr(first);
+  RxObservation second = obs;
+  second.solve = &by_sinr;
+  const bool models_ok = same_bits(zf_stream_rx_models(second), models);
+
+  ZfSolve by_models;
+  first.solve = &by_models;
+  (void)zf_stream_rx_models(first);
+  second.solve = &by_models;
+  const bool sinr_ok = same_bits(zf_stream_sinr(second), sinr);
+  // A filled slot stays as it was: reading it again changes nothing.
+  return models_ok && sinr_ok && same_bits(zf_stream_sinr(second), sinr);
+}
+
+TEST(RxMath, ReusedSolveMatchesFreshSolveBitForBit) {
+  util::Rng rng(77);
+  std::size_t cases = 0;
+  for (std::size_t n_rx = 1; n_rx <= 4; ++n_rx) {
+    for (std::size_t n = 1; n <= n_rx; ++n) {
+      for (std::size_t j = 0; j <= 3; ++j) {
+        RxObservation obs;
+        obs.g_true = random_mat(n_rx, n, rng);
+        obs.g_est = obs.g_true + cdouble{0.05, 0.0} * random_mat(n_rx, n, rng);
+        obs.interference_true = random_mat(n_rx, j, rng);
+        obs.noise_power = 1e-3;
+        // Interference-free directions as the round builder derives them,
+        // from an estimate of at most n_rx - n interferer columns.
+        const CMat f_est = random_mat(n_rx, std::min(j, n_rx - n), rng);
+        obs.receive_space = linalg::orthogonal_complement(
+            advertised_unwanted_space(obs.g_est, f_est, n));
+        EXPECT_TRUE(reused_matches_fresh(obs, obs))
+            << "N=" << n_rx << " n=" << n << " j=" << j;
+
+        // A later evaluation of the same link sees more interferers: the
+        // combiner is the same, the leak terms grow.
+        RxObservation later = obs;
+        later.interference_true =
+            obs.interference_true.hstack(random_mat(n_rx, 2, rng));
+        EXPECT_TRUE(reused_matches_fresh(obs, later))
+            << "N=" << n_rx << " n=" << n << " j=" << j << " (+2)";
+
+        // The comparison is sharp: a slot solved from a different estimate
+        // of the same link does not pass for a fresh solve.
+        RxObservation other = obs;
+        other.g_est = obs.g_true + cdouble{0.05, 0.0} * random_mat(n_rx, n, rng);
+        EXPECT_FALSE(reused_matches_fresh(other, obs))
+            << "N=" << n_rx << " n=" << n << " j=" << j << " (wrong g_est)";
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40u);
+
+  // Overloaded: fewer interference-free directions than streams -> zeros.
+  {
+    RxObservation obs;
+    obs.g_true = random_mat(3, 2, rng);
+    obs.g_est = obs.g_true;
+    obs.interference_true = random_mat(3, 1, rng);
+    obs.receive_space = linalg::orthonormal_basis(random_mat(3, 1, rng));
+    obs.noise_power = 1e-3;
+    EXPECT_TRUE(reused_matches_fresh(obs, obs));
+    ZfSolve slot;
+    obs.solve = &slot;
+    EXPECT_EQ(zf_stream_sinr(obs), std::vector<double>(2, 0.0));
+  }
+
+  // Singular regularized Gram: noise 0 and a rank-deficient estimate make
+  // the inverse fail; the slot remembers that and keeps reporting zeros.
+  {
+    RxObservation obs;
+    obs.g_true = random_mat(2, 2, rng);
+    obs.g_est = CMat(2, 2);
+    obs.g_est(0, 0) = obs.g_est(0, 1) = cdouble{1.0, 0.5};
+    obs.g_est(1, 0) = obs.g_est(1, 1) = cdouble{-0.3, 2.0};
+    obs.interference_true = random_mat(2, 1, rng);
+    obs.receive_space = CMat::identity(2);
+    obs.noise_power = 0.0;
+    EXPECT_TRUE(reused_matches_fresh(obs, obs));
+    ZfSolve slot;
+    obs.solve = &slot;
+    EXPECT_EQ(zf_stream_sinr(obs), std::vector<double>(2, 0.0));
+    EXPECT_TRUE(slot.solved);
+    EXPECT_TRUE(slot.singular);
+  }
+
+  // Non-finite entries propagate identically through a reused solve.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const cdouble bad : {cdouble{nan, 0.0}, cdouble{inf, 0.0},
+                            cdouble{0.0, -inf}}) {
+    RxObservation est_bad;
+    est_bad.g_true = random_mat(3, 2, rng);
+    est_bad.g_est = est_bad.g_true;
+    est_bad.g_est(1, 0) = bad;
+    est_bad.interference_true = random_mat(3, 1, rng);
+    est_bad.receive_space = CMat::identity(3);
+    est_bad.noise_power = 1e-3;
+    EXPECT_TRUE(reused_matches_fresh(est_bad, est_bad));
+
+    RxObservation truth_bad = est_bad;
+    truth_bad.g_est = truth_bad.g_true;
+    truth_bad.g_true(2, 1) = bad;
+    truth_bad.interference_true(0, 0) = bad;
+    EXPECT_TRUE(reused_matches_fresh(truth_bad, truth_bad));
+  }
 }
 
 TEST(Scenarios, ThreePairShape) {
@@ -486,6 +648,100 @@ TEST(Round, ExtraAntennaLiftsTheBar) {
     if (res.winner_order.size() == 2) ++joined;
   }
   EXPECT_GT(joined, 10u);
+}
+
+// --- Claim 3.2 on every round of generated worlds -----------------------
+
+// Checks one round against the DoF bookkeeping of Claim 3.2, reconstructed
+// from the winner order and the per-link stream counts alone.
+void expect_claim32(const World& w, const Scenario& sc, const RoundResult& res,
+                    const std::string& where) {
+  std::size_t on_air = 0;
+  std::size_t summed = 0;
+  for (std::size_t tx : res.winner_order) {
+    EXPECT_GT(w.antennas(tx), on_air)
+        << where << ": tx " << tx << " joined with too few antennas";
+    std::size_t added = 0;
+    for (std::size_t li : sc.links_of(tx)) {
+      // A receiver with no dimension left simply gets no streams.
+      const std::size_t rx = sc.links[li].rx_node;
+      if (res.links[li].streams > 0) {
+        EXPECT_LE(res.links[li].streams + on_air, w.antennas(rx))
+            << where << ": link " << li << " overloads its receiver";
+      }
+      added += res.links[li].streams;
+    }
+    on_air += added;
+    summed += added;
+  }
+  EXPECT_EQ(res.total_streams, summed) << where;
+  for (std::size_t li = 0; li < sc.links.size(); ++li) {
+    const std::size_t tx = sc.links[li].tx_node;
+    if (std::find(res.winner_order.begin(), res.winner_order.end(), tx) ==
+        res.winner_order.end()) {
+      EXPECT_EQ(res.links[li].streams, 0u)
+          << where << ": link " << li << " streams without winning";
+    }
+  }
+}
+
+TEST(Round, ConformsToClaim32OnGeneratedWorlds) {
+  AntennaMix mix;
+  mix.weights = {0.35, 0.30, 0.20, 0.15};
+  WorldConfig wc;
+  wc.lazy_channels = true;
+  FaultConfig faults;
+  faults.header_loss_rate = 0.3;
+  faults.header_fallback_defer = false;  // blind joiners still obey the bar
+  faults.degenerate_channel_rate = 0.2;
+  faults.node_outage_hz = 5.0;
+  std::size_t rounds = 0;
+  std::size_t joins = 0;
+  for (const LinkPattern pattern :
+       {LinkPattern::kPeerPairs, LinkPattern::kApDownlink}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      for (const bool with_faults : {false, true}) {
+        GenConfig gc;
+        gc.n_links = 12;
+        gc.pattern = pattern;
+        gc.links_per_ap = 4;
+        gc.tx_mix = mix;
+        gc.rx_mix = mix;
+        util::Rng rng(seed);
+        const GeneratedTopology topo = generate_topology(gc, rng);
+        const World w = make_world(topo, rng, wc);
+        const Scenario& sc = topo.scenario;
+        std::optional<FaultInjector> inj;
+        RoundConfig cfg;
+        if (with_faults) {
+          inj.emplace(faults, sc, rng.fork(0xFA17));
+          cfg.faults = &*inj;
+        }
+        std::vector<std::uint8_t> mask(sc.links.size(), 1);
+        for (int r = 0; r < 6; ++r) {
+          if (inj) {
+            inj->begin_round();
+            inj->advance_outages(0.02, 0.02 * r);
+            std::fill(mask.begin(), mask.end(), 1);
+            inj->apply_outage_mask(mask, 0.02 * r);
+          }
+          const RoundResult res =
+              run_nplus_round(w, sc, rng, cfg, inj ? &mask : nullptr);
+          expect_claim32(w, sc, res,
+                         std::string(pattern == LinkPattern::kPeerPairs
+                                         ? "peer"
+                                         : "ap") +
+                             " seed " + std::to_string(seed) +
+                             (with_faults ? " faults" : "") + " round " +
+                             std::to_string(r));
+          ++rounds;
+          joins += res.winner_order.size() > 1 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rounds, 96u);
+  EXPECT_GT(joins, 0u);  // the bar was exercised, not only first winners
 }
 
 }  // namespace
