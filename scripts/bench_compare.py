@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Perf-regression gate over canonical nplus-bench JSON (`nplus-bench-v1`).
 
-Compares a fresh `nplus-bench` run against a checked-in baseline and fails
-(exit 1) when any throughput- or latency-class metric regressed by more
-than the gate. Because the results JSON is deterministic (seeded
-simulation, no wall clock, shortest-round-trip number formatting), a fresh
-run of unchanged code reproduces the baseline byte for byte — so any
-difference the gate sees is a real behavior change, not machine noise. The
-noise-floor spec (scripts/bench_noise.json) exists for deliberately
-re-baselined metrics whose small deterministic drift is accepted; it is
-recorded per metric, never applied silently.
+Compares a fresh run against a checked-in baseline and fails (exit 1) when
+any throughput- or latency-class metric regressed by more than the gate.
+It serves the kernel-microbench timing gate: scripts/micro_bench_gate.py
+converts google-benchmark output to this schema, and the comparison runs
+with that gate's wall-clock noise floors (--noise). The deterministic
+simulation sweeps need no tolerance: their results JSON is compared with
+the checked-in baselines byte for byte, which implies every metric here.
 
 Direction awareness: throughput-class metrics (total_mbps, goodput_mbps,
 jain) must not DROP; latency-class metrics (round_s.*, duration_s) must
@@ -20,11 +18,10 @@ Usage:
                    [--max-regression 0.05] [--inject-slowdown F] [-v]
   bench_compare.py --self-test
 
---inject-slowdown F is the CI chaos hook (the perf job's analogue of the
-checkpoint layer's --kill-after): it degrades the fresh metrics by factor
-F *after* loading — latency multiplied, throughput divided — so CI can
-prove the gate actually trips on a 10% slowdown (F = 1.10) and then pass
-the clean rerun. It exists to test the gate, not to tune it.
+--inject-slowdown F degrades the fresh metrics by factor F *after* loading
+— latency multiplied, throughput divided — to prove the gate trips on a
+slowdown (F = 1.10 is a 10% one). It exists to test the gate, not to tune
+it.
 
 Exit codes: 0 = no regression, 1 = regression (or structural mismatch),
 2 = usage error / unreadable input. Self-test: 0 = all checks pass.
@@ -50,7 +47,7 @@ METRICS = {
     "round_s.max": "lower",
 }
 
-# Built-in noise floors; scripts/bench_noise.json overrides per metric.
+# Built-in noise floors; a --noise spec overrides them per metric.
 # "rel" widens the relative gate for that metric; "abs" ignores absolute
 # differences below it (a 1e-9 s jitter on a microsecond percentile is not
 # a regression worth failing CI over).
@@ -214,15 +211,12 @@ def main():
         description="nplus-bench perf-regression gate")
     ap.add_argument("baseline", nargs="?")
     ap.add_argument("fresh", nargs="?")
-    ap.add_argument("--noise", help="per-metric noise-floor JSON "
-                    "(default: scripts/bench_noise.json next to this "
-                    "script, if present)")
+    ap.add_argument("--noise", help="per-metric noise-floor JSON")
     ap.add_argument("--max-regression", type=float, default=0.05,
                     help="relative regression gate (default 0.05 = 5%%)")
     ap.add_argument("--inject-slowdown", type=float, default=1.0,
-                    metavar="F", help="chaos hook: degrade fresh metrics "
-                    "by factor F before comparing (CI proves the gate "
-                    "trips)")
+                    metavar="F", help="degrade fresh metrics by factor "
+                    "F before comparing (proves the gate trips)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the gate's embedded regression checks")
     ap.add_argument("-v", "--verbose", action="store_true")
@@ -237,11 +231,6 @@ def main():
 
     noise = dict(DEFAULT_NOISE)
     noise_path = args.noise
-    if noise_path is None:
-        import os
-        candidate = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                 "bench_noise.json")
-        noise_path = candidate if os.path.exists(candidate) else ""
     if noise_path:
         try:
             with open(noise_path, "r", encoding="utf-8") as f:

@@ -105,27 +105,6 @@ std::size_t payload_bytes_for_symbols(std::size_t n_symbols, const Mcs& mcs) {
   return (budget_bits - kOverheadBits) / 8;
 }
 
-bool simulate_stream_delivery(std::size_t payload_bytes, const Mcs& mcs,
-                              const std::vector<double>& subcarrier_snr_linear,
-                              util::Rng& rng) {
-  if (subcarrier_snr_linear.empty()) return false;
-  std::vector<std::uint8_t> payload(payload_bytes);
-  for (auto& b : payload) {
-    b = static_cast<std::uint8_t>(rng.uniform_int(256u));
-  }
-  std::vector<cdouble> symbols = encode_payload(payload, mcs);
-
-  const std::size_t n_sc = subcarrier_snr_linear.size();
-  std::vector<double> noise_var(symbols.size());
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    const double snr = std::max(subcarrier_snr_linear[i % n_sc], 1e-12);
-    const double var = 1.0 / snr;
-    symbols[i] += rng.cgaussian(var);
-    noise_var[i] = var;
-  }
-  return decode_payload(symbols, noise_var, payload.size(), mcs).has_value();
-}
-
 bool simulate_stream_delivery_mimo(
     std::size_t payload_bytes, const Mcs& mcs,
     const std::vector<StreamRxModel>& sc_models, util::Rng& rng) {

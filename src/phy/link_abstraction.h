@@ -12,11 +12,12 @@
 //     Delivery is scored in expectation (bits * (1 - PER)) — the
 //     variance-reduced fast path that makes 500-pair worlds affordable.
 //
-//   * kFullPhy (simulate_stream_delivery): the stream's payload is actually
-//     encoded (scramble -> convolutional code -> interleave -> constellation
-//     map), pushed through per-subcarrier noise at the measured
-//     post-equalization SINRs, and received (soft demap -> Viterbi -> CRC).
-//     Delivery is the CRC verdict of that one realization.
+//   * kFullPhy (simulate_stream_delivery_mimo): the stream's payload is
+//     actually encoded (scramble -> convolutional code -> interleave ->
+//     constellation map), pushed through each subcarrier's post-combining
+//     observation model (wanted gain, sibling-stream crosstalk, residual
+//     interference, Gaussian noise), and received (soft demap -> Viterbi
+//     -> CRC). Delivery is the CRC verdict of that one realization.
 //
 // Both are keyed on the same quantity — post-equalization effective SNR —
 // so the abstraction is validated against the reference by running whole
@@ -84,19 +85,6 @@ class LinkAbstraction {
 // carried inside the symbol budget). 0 when even an empty payload's
 // service/CRC/tail overhead does not fit.
 std::size_t payload_bytes_for_symbols(std::size_t n_symbols, const Mcs& mcs);
-
-// Transmits ONE coded stream through the real codec chain: draws a random
-// `payload_bytes` payload from `rng`, encodes it at `mcs`, adds complex
-// Gaussian noise per symbol at the post-equalization SINR of its subcarrier
-// (symbol i rides subcarrier i % subcarrier_snr_linear.size(), matching the
-// 48-per-OFDM-symbol layout of encode_payload), then soft-demaps, Viterbi
-// decodes, and checks the CRC-32. Returns true iff the CRC verifies.
-// Empty `subcarrier_snr_linear` fails the frame. This flat-noise variant is
-// the calibration counterpart; the packet simulator scores with the MIMO
-// observation model below.
-bool simulate_stream_delivery(std::size_t payload_bytes, const Mcs& mcs,
-                              const std::vector<double>& subcarrier_snr_linear,
-                              util::Rng& rng);
 
 // Post-combining observation model of one wanted stream on one subcarrier.
 // After the receiver's interference projection + MMSE-ZF combiner, the

@@ -18,6 +18,10 @@
 // deliberately go stale; refresh_csi() re-measures one pair) — see the
 // "Dynamic networks" section in src/README.md. A world that is never
 // advanced behaves exactly as before.
+//
+// Every mode keeps one table of node pairs (taps, derived matrices, link
+// SNR, dynamics ledger) and one of directed beliefs; eager and lazy worlds
+// differ only in when a pair is drawn and from which stream.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +127,10 @@ class World {
                                  std::size_t sc) const;
 
   // --- Dynamic networks --------------------------------------------------
-  // A static World is immutable after construction; the dynamics engine
-  // (sim/mobility.h + channel/evolution.h) drives it through two mutators.
-  // Neither is thread-safe — a dynamic world belongs to one session, just
+  // An eager World that is never advanced is immutable after construction;
+  // the dynamics engine (sim/mobility.h + channel/evolution.h) drives it
+  // through two mutators. Neither is thread-safe, and reads after advance()
+  // re-derive moved pairs — a dynamic world belongs to one session, just
   // like a lazy one.
 
   // Current position of a node (meters on the scenario floor).
@@ -137,18 +142,17 @@ class World {
   //    anchored Gudmundson shadowing: an AR(1) step in dB per traveled
   //    distance that geometrically decays the materialization draw while
   //    injecting matched innovation, keeping total shadowing variance at
-  //    exactly the path-loss model's sigma^2 for all time (see PairDyn),
-  //    and
+  //    exactly the path-loss model's sigma^2 for all time (see Pair), and
   //  * the small-scale update — one Gauss-Markov tap-evolution step at
   //    rho = J0(2*pi*f_d*dt), f_d from the endpoints' realized speeds plus
-  //    the config's environmental Doppler floor
-  // and re-materializes the pair's per-subcarrier matrices and link SNR.
-  // Every draw happens here, in key order. Eager pairs re-derive their
-  // matrices here too (their link SNR averages the realized fading); a
-  // lazy pair is only marked stale and re-derives its matrices from the
-  // current taps on its next read (channel, refresh_csi, a first belief),
-  // which yields the same bytes as re-deriving now. Reciprocity beliefs
-  // are NOT refreshed (CSI measured in round t stays
+  //    the config's environmental Doppler floor.
+  // Every draw happens here, in key order; a changed pair is only marked
+  // stale, in every mode. Its next read (channel, link SNR, refresh_csi, a
+  // first belief) re-derives the per-subcarrier matrices — and an eager
+  // pair's fading-averaged link SNR — from the taps as they are then: taps
+  // change only here, so that yields the same bytes as re-deriving now.
+  // A lazy pair's budget SNR shifts by the large-scale delta at once.
+  // Reciprocity beliefs are NOT refreshed (CSI measured in round t stays
   // pinned until refresh_csi, so it is stale by round t+k). Lazy pairs not
   // yet touched materialize later at the then-current geometry, with the
   // pair's accumulated shadowing offset applied, preserving the SNR/channel
@@ -170,65 +174,21 @@ class World {
   static constexpr std::size_t kSubcarriers = 48;
 
  private:
-  // Lazy-mode materialization (config_.lazy_channels). Each helper forks a
-  // fresh child off lazy_base_ by a pair-derived label, so what a pair
-  // contains never depends on which pairs were touched before it.
-  const std::vector<CMat>& lazy_channel(std::size_t a, std::size_t b) const;
-  const std::vector<CMat>& lazy_recip(std::size_t a, std::size_t b) const;
-  double lazy_link_snr_db(std::size_t a, std::size_t b) const;
-
-  // Fills fwd[s] = H_s (lo -> hi) and rev[s] = H_s^T (hi -> lo) for every
-  // data subcarrier from a pair's taps: the one place channel matrices are
-  // derived (eager build, lazy materialization, stale re-derivation, eager
-  // advance).
-  void fill_pair(const channel::MimoChannel& ch, std::vector<CMat>& fwd,
-                 std::vector<CMat>& rev) const;
-  // Estimation noise from an explicit stream (refresh_csi / belief
-  // derivation); estimate() keeps using the world's own stream.
-  CMat estimate_with(const CMat& true_channel, util::Rng& rng) const;
-  // Belief a -> b from the current reverse channel + a fixed calibration
-  // matrix: shared by the lazy materialization path and refresh_csi.
-  std::vector<CMat> derive_beliefs(const std::vector<CMat>& rev_chan,
-                                   const CMat& cal, util::Rng& rng) const;
-  // Re-derives an eager pair's per-subcarrier matrices and link SNR after
-  // advance() changed its taps.
-  void rematerialize_pair(std::uint64_t key, const channel::MimoChannel& ch);
-
-  std::vector<NodeSpec> nodes_;
-  WorldConfig config_;
-  // The shared table for config_.fft_size: freq_response without
-  // trigonometry.
-  const channel::Twiddles* twiddles_;
-  double noise_power_;
-  mutable util::Rng rng_;
-  // channels_[a][b][sc]: true channel a -> b.
-  std::vector<std::vector<std::vector<CMat>>> channels_;
-  // recip_[a][b][sc]: a's belief about channel a -> b.
-  std::vector<std::vector<std::vector<CMat>>> recip_;
-  std::vector<std::vector<double>> link_snr_db_;
-
-  // Geometry (all modes; the dynamics engine moves testbed_ locations).
-  channel::Testbed testbed_{std::vector<channel::Location>{}};
-  std::vector<std::size_t> locations_;
-  std::vector<std::uint8_t> roles_;
-
-  // Tap-domain channel per unordered pair, keyed lo * n_nodes + hi: the
-  // state Gauss-Markov evolution operates on (eager modes; lazy pairs keep
-  // theirs inside LazyPair). Calibration errors are keyed a * n_nodes + b
-  // (directed) and fixed for the world's lifetime — hardware doesn't
-  // recalibrate because furniture moved.
-  std::map<std::uint64_t, channel::MimoChannel> pair_taps_;
-  mutable std::map<std::uint64_t, CMat> cal_;
-
-  // Per-pair dynamics state, created at materialization. The pair's total
-  // shadowing at any time is anchor * s0 + delta: s0 is the realized
-  // materialization draw (recovered draw-free by peeking the stream),
-  // anchor decays geometrically with traveled distance (Gudmundson rho),
-  // and delta is the AR(1) innovation accumulator with variance
-  // (1 - anchor^2) * sigma^2 — so total shadowing variance is EXACTLY the
-  // path-loss model's sigma^2 at every time, and the correlation with the
-  // materialization draw decays to zero (not to a floor).
-  struct PairDyn {
+  // One unordered pair lo < hi, keyed lo * n_nodes + hi, in every mode. The
+  // modes differ only in when a pair is drawn and from which stream: an
+  // eager world draws every active pair at construction from the caller's
+  // stream; a lazy world draws a pair on first read from a child forked off
+  // lazy_base_ by the pair's key, so what it contains never depends on
+  // which pairs were touched before it.
+  struct Pair {
+    // Dynamics ledger, filled when the entry is created. The pair's total
+    // shadowing at any time is anchor * s0 + delta: s0 is the realized
+    // materialization draw (recovered draw-free by peeking the stream),
+    // anchor decays geometrically with traveled distance (Gudmundson rho),
+    // and delta is the AR(1) innovation accumulator with variance
+    // (1 - anchor^2) * sigma^2 — so total shadowing variance is EXACTLY the
+    // path-loss model's sigma^2 at every time, and the correlation with the
+    // materialization draw decays to zero (not to a floor).
     double prev_dist_m = 0.0;
     double shadow_s0_db = 0.0;    // realized shadowing at materialization
     double shadow_anchor = 1.0;   // current weight of s0
@@ -238,20 +198,76 @@ class World {
     double shadow_offset_db() const {
       return (shadow_anchor - 1.0) * shadow_s0_db + shadow_delta_db;
     }
-  };
-  mutable std::map<std::uint64_t, PairDyn> dyn_;
 
-  // Lazy-mode state (unused by the eager modes).
-  struct LazyPair {
+    // Tap-domain channel (the state evolution operates on) and the
+    // per-subcarrier matrices derived from it.
+    bool has_channel = false;
+    bool stale = false;     // taps moved since fwd/rev were derived
     channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
     std::vector<CMat> fwd;  // lo -> hi, per subcarrier
     std::vector<CMat> rev;  // hi -> lo (transpose: reciprocity)
-    bool stale = false;     // taps moved since fwd/rev were derived
+
+    // Link SNR in dB: an eager world stores the fading average of fwd
+    // (re-derived with it), a lazy world the pathloss+shadowing budget.
+    bool has_snr = false;
+    double snr_db = -300.0;
   };
+  // Node a's belief about the channel a -> b, keyed a * n_nodes + b. The
+  // calibration error is fixed for the world's lifetime — hardware doesn't
+  // recalibrate because furniture moved; refresh_csi re-draws only h.
+  struct Belief {
+    CMat cal;
+    std::vector<CMat> h;  // per subcarrier
+  };
+
+  using Pairs = std::map<std::uint64_t, Pair>;
+
+  std::uint64_t key(std::size_t a, std::size_t b) const {
+    return static_cast<std::uint64_t>(a) * nodes_.size() + b;
+  }
+  // Creates pair lo < hi's entry before `hint`, with its dynamics ledger.
+  Pairs::iterator add_pair(Pairs::iterator hint, std::size_t lo,
+                           std::size_t hi, const util::Rng& stream) const;
+  // Pair lo < hi's entry; a lazy world creates it on first read.
+  Pair& entry(std::size_t lo, std::size_t hi) const;
+  // Draws the pair's taps from `rng`, applies the ledger's shadowing
+  // catch-up, and derives the matrices.
+  void materialize(Pair& pair, std::size_t lo, std::size_t hi,
+                   util::Rng& rng) const;
+  // fwd[s] = H_s (lo -> hi), rev[s] = H_s^T (hi -> lo) and an eager
+  // pair's link SNR, from the taps: the one place they are derived.
+  void derive(Pair& pair) const;
+  // Pair {a, b} with current matrices: materializes a lazy pair on first
+  // read and re-derives a stale one.
+  Pair& fresh_pair(std::size_t a, std::size_t b) const;
+  // The true channel a -> b on every subcarrier.
+  const std::vector<CMat>& matrices(std::size_t a, std::size_t b) const;
+  // Estimation noise from an explicit stream (belief derivation);
+  // estimate() keeps using the world's own stream.
+  CMat estimate_with(const CMat& true_channel, util::Rng& rng) const;
+  // Draws the calibration error for a -> b, then derives the belief.
+  Belief measure_belief(std::size_t a, std::size_t b, util::Rng& rng) const;
+  // Belief a -> b from the current reverse channel + its fixed calibration
+  // matrix: shared by the first measurement and refresh_csi.
+  void derive_beliefs(Belief& belief, std::size_t a, std::size_t b,
+                      util::Rng& rng) const;
+
+  std::vector<NodeSpec> nodes_;
+  WorldConfig config_;
+  // The shared table for config_.fft_size: freq_response without
+  // trigonometry.
+  const channel::Twiddles* twiddles_;
+  double noise_power_;
+  mutable util::Rng rng_;
+
+  // Geometry (all modes; the dynamics engine moves testbed_ locations).
+  channel::Testbed testbed_{std::vector<channel::Location>{}};
+  std::vector<std::size_t> locations_;
+  std::vector<std::uint8_t> roles_;
+
   util::Rng lazy_base_{0, 0};  // copied, never advanced, per fork
-  mutable std::map<std::uint64_t, LazyPair> lazy_pairs_;
-  mutable std::map<std::uint64_t, std::vector<CMat>> lazy_recip_;
-  mutable std::map<std::uint64_t, double> lazy_snr_;
+  mutable Pairs pairs_;
+  mutable std::map<std::uint64_t, Belief> beliefs_;
 };
 
 }  // namespace nplus::sim

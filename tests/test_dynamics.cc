@@ -388,17 +388,22 @@ bool same_bytes(const CMat& x, const CMat& y) {
                      x.rows() * x.cols() * sizeof(linalg::cdouble)) == 0;
 }
 
-TEST(WorldDynamics, LazyPairsRederiveOnReadByteIdentically) {
-  // advance() only marks a moved lazy pair stale; its matrices are
-  // re-derived from the current taps when next read. World a reads every
-  // pair after every step (re-deriving each time), world b reads nothing
-  // until the end. Both refresh the same beliefs at the same steps, which
-  // reads the moved reverse channel mid-run. Everything must agree byte for
-  // byte, and advance must have drawn the same stream in both.
+class WorldDynamicsModes : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WorldDynamicsModes, PairsRederiveOnReadByteIdentically) {
+  // advance() only marks a moved pair stale, in every mode; its matrices
+  // (and an eager pair's fading-averaged link SNR) are re-derived from the
+  // current taps when next read. World a reads every pair after every step
+  // (re-deriving each time), world b reads nothing until the end. Both
+  // refresh the same beliefs at the same steps, which reads the moved
+  // reverse channel mid-run. Everything must agree byte for byte, and
+  // advance must have drawn the same stream in both.
   //
-  // Both worlds touch the same pairs before the first step: a first read
-  // creates the pair's dynamics entry, which changes what advance draws.
-  WorldFixture a(31, /*lazy=*/true), b(31, /*lazy=*/true);
+  // Both worlds touch the same pairs before the first step: in a lazy
+  // world a first read creates the pair's dynamics entry, which changes
+  // what advance draws.
+  const bool lazy = GetParam();
+  WorldFixture a(31, lazy), b(31, lazy);
   const std::vector<std::size_t> txs = {0, 2, 4};
   const std::vector<std::size_t> rxs = {1, 3, 5};
   for (WorldFixture* f : {&a, &b}) {
@@ -456,15 +461,21 @@ TEST(WorldDynamics, LazyPairsRederiveOnReadByteIdentically) {
     }
   }
   // The steps really moved the channels: the comparison is not vacuous.
-  WorldFixture unmoved(31, /*lazy=*/true);
+  WorldFixture unmoved(31, lazy);
   EXPECT_FALSE(same_bytes(a.world.channel(0, 1, 0),
                           unmoved.world.channel(0, 1, 0)));
+  EXPECT_NE(a.world.link_snr_db(0, 1), unmoved.world.link_snr_db(0, 1));
   const auto sa = da.save(), sb = db.save();
   EXPECT_EQ(sa.gen.state, sb.gen.state);
   EXPECT_EQ(sa.gen.inc, sb.gen.inc);
   EXPECT_EQ(sa.has_cached, sb.has_cached);
   EXPECT_EQ(ra.save().gen.state, rb.save().gen.state);
 }
+
+INSTANTIATE_TEST_SUITE_P(EagerAndLazy, WorldDynamicsModes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& mode) {
+                           return mode.param ? "Lazy" : "Eager";
+                         });
 
 // --- Churn mask at the round level --------------------------------------
 

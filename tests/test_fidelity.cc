@@ -115,18 +115,28 @@ TEST(FullPhyScorer, PayloadBytesForSymbolsInverts) {
   EXPECT_EQ(phy::payload_bytes_for_symbols(1, phy::mcs_by_index(0)), 0u);
 }
 
+// 48 unit-gain subcarriers with no sibling or residual-interference terms:
+// the scorer then only adds Gaussian noise at `snr_db`.
+std::vector<phy::StreamRxModel> flat_models(double snr_db) {
+  phy::StreamRxModel m;
+  m.gain = {1.0, 0.0};
+  m.sinr = util::from_db(snr_db);
+  m.noise_var = 1.0 / m.sinr;
+  return std::vector<phy::StreamRxModel>(48, m);
+}
+
 TEST(FullPhyScorer, DeliversAtHighSnrFailsAtLowSnr) {
   util::Rng rng(11);
-  const std::vector<double> high(48, util::from_db(30.0));
-  const std::vector<double> low(48, util::from_db(-10.0));
+  const auto high = flat_models(30.0);
+  const auto low = flat_models(-10.0);
   for (const Mcs& m : phy::mcs_table()) {
-    EXPECT_TRUE(phy::simulate_stream_delivery(400, m, high, rng))
+    EXPECT_TRUE(phy::simulate_stream_delivery_mimo(400, m, high, rng))
         << "MCS " << m.index;
-    EXPECT_FALSE(phy::simulate_stream_delivery(400, m, low, rng))
+    EXPECT_FALSE(phy::simulate_stream_delivery_mimo(400, m, low, rng))
         << "MCS " << m.index;
   }
-  EXPECT_FALSE(phy::simulate_stream_delivery(400, phy::mcs_by_index(0), {},
-                                             rng));
+  EXPECT_FALSE(phy::simulate_stream_delivery_mimo(
+      400, phy::mcs_by_index(0), {}, rng));
 }
 
 TEST(FullPhyScorer, EmpiricalPerTracksCalibratedTable) {
@@ -137,10 +147,10 @@ TEST(FullPhyScorer, EmpiricalPerTracksCalibratedTable) {
   const Mcs& m = phy::mcs_by_index(5);
   const std::size_t kTrials = 40;
   auto empirical = [&](double esnr_db) {
-    const std::vector<double> snr(48, util::from_db(esnr_db));
+    const auto models = flat_models(esnr_db);
     std::size_t fail = 0;
     for (std::size_t t = 0; t < kTrials; ++t) {
-      fail += phy::simulate_stream_delivery(1500, m, snr, rng) ? 0 : 1;
+      fail += phy::simulate_stream_delivery_mimo(1500, m, models, rng) ? 0 : 1;
     }
     return static_cast<double>(fail) / static_cast<double>(kTrials);
   };
@@ -150,9 +160,9 @@ TEST(FullPhyScorer, EmpiricalPerTracksCalibratedTable) {
 
 TEST(FullPhyScorer, ZeroLengthPayloadRoundTrips) {
   util::Rng rng(23);
-  const std::vector<double> high(48, util::from_db(25.0));
+  const auto high = flat_models(25.0);
   for (const Mcs& m : phy::mcs_table()) {
-    EXPECT_TRUE(phy::simulate_stream_delivery(0, m, high, rng))
+    EXPECT_TRUE(phy::simulate_stream_delivery_mimo(0, m, high, rng))
         << "MCS " << m.index;
   }
 }
