@@ -1,37 +1,13 @@
 #include "mac/contention.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace nplus::mac {
-
-namespace {
-
-// Applies the DoF bookkeeping to an ordered candidate list.
-ContentionResult apply_order(const std::vector<Contender>& contenders,
-                             const std::vector<std::size_t>& order,
-                             const AdmissionHook& admit) {
-  ContentionResult result;
-  std::size_t used = 0;
-  for (std::size_t idx : order) {
-    const Contender& c = contenders[idx];
-    if (c.n_antennas <= used) continue;  // cannot add a stream
-    if (admit && !admit(c.id, used)) continue;
-    const std::size_t streams = c.n_antennas - used;
-    result.winners.push_back(Winner{c.id, streams, used});
-    used += streams;
-  }
-  result.total_streams = used;
-  return result;
-}
-
-}  // namespace
 
 ContentionResult nplus_contention(const std::vector<Contender>& contenders,
                                   util::Rng& rng,
                                   const phy::MacTiming& timing,
-                                  const DcfConfig& cfg,
-                                  const AdmissionHook& admit) {
+                                  const DcfConfig& cfg) {
   ContentionResult result;
   std::size_t used = 0;
 
@@ -40,13 +16,12 @@ ContentionResult nplus_contention(const std::vector<Contender>& contenders,
   for (std::size_t i = 0; i < active.size(); ++i) active[i] = i;
 
   for (;;) {
-    // Eligible for this round: more antennas than used DoF, passes
-    // admission, and hasn't already won.
+    // Eligible for this round: more antennas than used DoF, and hasn't
+    // already won.
     std::vector<std::size_t> eligible;
     for (std::size_t idx : active) {
       const Contender& c = contenders[idx];
       if (c.n_antennas <= used) continue;
-      if (admit && !admit(c.id, used)) continue;
       eligible.push_back(idx);
     }
     if (eligible.empty()) break;
@@ -64,27 +39,6 @@ ContentionResult nplus_contention(const std::vector<Contender>& contenders,
     active.erase(std::find(active.begin(), active.end(), idx));
   }
   result.total_streams = used;
-  return result;
-}
-
-ContentionResult random_winner_contention(
-    const std::vector<Contender>& contenders, util::Rng& rng,
-    const AdmissionHook& admit) {
-  std::vector<std::size_t> order(contenders.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng.shuffle(order);
-  return apply_order(contenders, order, admit);
-}
-
-ContentionResult dot11n_contention(const std::vector<Contender>& contenders,
-                                   util::Rng& rng) {
-  assert(!contenders.empty());
-  ContentionResult result;
-  const std::size_t idx = rng.uniform_int(
-      static_cast<std::uint32_t>(contenders.size()));
-  const Contender& c = contenders[idx];
-  result.winners.push_back(Winner{c.id, c.n_antennas, 0});
-  result.total_streams = c.n_antennas;
   return result;
 }
 

@@ -14,7 +14,6 @@
 // channels.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mac/dcf.h"
@@ -40,30 +39,11 @@ struct ContentionResult {
   int collisions = 0;
 };
 
-// Optional veto invoked before admitting a secondary winner (the admission
-// control hook: can this joiner cancel its interference below L at every
-// ongoing receiver?). Returning false removes it from this transmission's
-// contention. Arguments: contender id, DoF used so far.
-using AdmissionHook = std::function<bool(std::size_t, std::size_t)>;
-
 // Runs the full n+ contention for one transmission opportunity with DCF
 // backoff in every round. Contenders with zero eligible streams drop out.
 ContentionResult nplus_contention(const std::vector<Contender>& contenders,
                                   util::Rng& rng,
                                   const phy::MacTiming& timing = {},
-                                  const DcfConfig& cfg = {},
-                                  const AdmissionHook& admit = {});
-
-// The paper's throughput-experiment variant: winners are picked uniformly
-// at random (§6.3 "The choice of which nodes win the contention is done by
-// randomly picking winners"), then the same DoF rules are applied in order.
-ContentionResult random_winner_contention(
-    const std::vector<Contender>& contenders, util::Rng& rng,
-    const AdmissionHook& admit = {});
-
-// 802.11n baseline: one uniformly-random winner takes the whole medium
-// ("each transmitter is given an equal chance to transmit a packet").
-ContentionResult dot11n_contention(const std::vector<Contender>& contenders,
-                                   util::Rng& rng);
+                                  const DcfConfig& cfg = {});
 
 }  // namespace nplus::mac

@@ -7,19 +7,11 @@ namespace nplus::mac {
 
 void BackoffEntity::start_new_packet(util::Rng& rng) {
   cw_ = cfg_.cw_min;
-  attempts_ = 0;
   counter_ = rng.uniform_int(0, cw_);
 }
 
 void BackoffEntity::on_collision(util::Rng& rng) {
-  ++attempts_;
   cw_ = std::min(cfg_.cw_max, cw_ * 2 + 1);
-  counter_ = rng.uniform_int(0, cw_);
-}
-
-void BackoffEntity::on_success(util::Rng& rng) {
-  cw_ = cfg_.cw_min;
-  attempts_ = 0;
   counter_ = rng.uniform_int(0, cw_);
 }
 

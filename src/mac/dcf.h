@@ -8,7 +8,6 @@
 // "idle" is judged by multi-dimensional carrier sense instead of raw power.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "phy/ofdm_params.h"
@@ -19,7 +18,6 @@ namespace nplus::mac {
 struct DcfConfig {
   int cw_min = 15;
   int cw_max = 1023;
-  int max_attempts = 7;  // give up (drop) after this many collisions
 };
 
 // Per-station backoff state.
@@ -31,13 +29,9 @@ class BackoffEntity {
   void start_new_packet(util::Rng& rng);
   // Doubles the window after a collision and redraws.
   void on_collision(util::Rng& rng);
-  // Resets the window after success.
-  void on_success(util::Rng& rng);
 
   int counter() const { return counter_; }
   int cw() const { return cw_; }
-  int attempts() const { return attempts_; }
-  bool exceeded_retry_limit() const { return attempts_ >= cfg_.max_attempts; }
 
   // Decrements during an idle slot.
   void tick() {
@@ -49,7 +43,6 @@ class BackoffEntity {
   DcfConfig cfg_;
   int cw_ = 15;
   int counter_ = 0;
-  int attempts_ = 0;
 };
 
 // Outcome of running one contention round among `n` stations until exactly

@@ -23,13 +23,11 @@ AuditContext make_audit_context(const Scenario& scenario,
   const auto& table = phy::mcs_table();
   ctx.peak_stream_mbps = table.back().bitrate_mbps;
   ctx.inter_round_gap_s = config.inter_round_gap_s;
-  ctx.idle_step_s = config.dynamics.churn.idle_step_s;
   // Failure-aware rounds may sit out one ACK timeout each before the
   // medium is re-contended.
   ctx.ack_timeout_s = config.faults.enabled()
                           ? mac::ack_timeout_s(config.round.airtime)
                           : 0.0;
-  ctx.has_horizon = config.max_duration_s > 0.0;
   ctx.n_rounds_cap = config.n_rounds;
   return ctx;
 }
@@ -139,8 +137,7 @@ std::vector<std::string> audit_session(const SessionResult& result,
   // --- Airtime conservation: elapsed = busy + accounted idle. Busy is the
   // per-round airtime sum; idle per round is at most the inter-round gap
   // plus (failure-aware sessions) one ACK timeout; churn idle slots are
-  // already inside round_duration. Horizon runs may add an unbounded idle
-  // tail, so only the lower bound applies there.
+  // already inside round_duration.
   if (result.rounds > 0 && std::isfinite(result.duration_s)) {
     const double busy = result.round_duration.mean() *
                         static_cast<double>(result.round_duration.count());
@@ -151,17 +148,14 @@ std::vector<std::string> audit_session(const SessionResult& result,
          << result.duration_s << " s)";
       fail(os.str());
     }
-    if (!ctx.has_horizon) {
-      const double max_idle =
-          static_cast<double>(result.rounds) *
-          (ctx.inter_round_gap_s + ctx.ack_timeout_s);
-      if (result.duration_s > busy + max_idle + tol) {
-        std::ostringstream os;
-        os << "elapsed time (" << result.duration_s
-           << " s) exceeds busy airtime (" << busy
-           << " s) plus the maximum accountable idle (" << max_idle << " s)";
-        fail(os.str());
-      }
+    const double max_idle = static_cast<double>(result.rounds) *
+                            (ctx.inter_round_gap_s + ctx.ack_timeout_s);
+    if (result.duration_s > busy + max_idle + tol) {
+      std::ostringstream os;
+      os << "elapsed time (" << result.duration_s
+         << " s) exceeds busy airtime (" << busy
+         << " s) plus the maximum accountable idle (" << max_idle << " s)";
+      fail(os.str());
     }
     if (result.round_duration.min() < 0.0) {
       std::ostringstream os;

@@ -32,15 +32,10 @@ struct AuditContext {
   // Top-MCS PHY rate per spatial stream (Mb/s).
   double peak_stream_mbps = 27.0;
   // Per-round idle allowances for the airtime-conservation check: the gap
-  // the session inserts between rounds, the idle-listen step churn charges
-  // when nobody is backlogged, and the ACK timeout a failure-aware round
-  // may wait out. elapsed - busy must fit inside these.
+  // the session inserts between rounds and the ACK timeout a failure-aware
+  // round may wait out. elapsed - busy must fit inside these.
   double inter_round_gap_s = 0.0;
-  double idle_step_s = 0.0;
   double ack_timeout_s = 0.0;
-  // max_duration_s sessions may idle arbitrarily long at the horizon tail,
-  // so the upper airtime bound is skipped.
-  bool has_horizon = false;
   // Configured round budget (0 = don't check).
   std::size_t n_rounds_cap = 0;
 };

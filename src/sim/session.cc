@@ -8,7 +8,6 @@
 
 #include "baselines/dot11n.h"
 #include "mac/airtime.h"
-#include "mac/event_sim.h"
 #include "util/trace.h"
 
 namespace nplus::sim {
@@ -34,7 +33,7 @@ void check_fraction(double v, const char* name) {
 
 // Watchdog cancellation point, polled at every round boundary. Draw-free,
 // so an uncancelled session's trace is untouched; on cancellation the
-// session unwinds out of EventSim::run via util::TimeoutError and the
+// session unwinds out of its round loop via util::TimeoutError and the
 // supervisor quarantines the item.
 void poll_cancel(const util::CancelToken* cancel, std::size_t rounds_done) {
   if (cancel != nullptr && cancel->cancelled()) {
@@ -47,7 +46,6 @@ void poll_cancel(const util::CancelToken* cancel, std::size_t rounds_done) {
 }  // namespace
 
 void SessionConfig::validate() const {
-  check_finite_nonneg(max_duration_s, "max_duration_s");
   check_finite_nonneg(inter_round_gap_s, "inter_round_gap_s");
   if (round.packet_bytes == 0) {
     throw std::invalid_argument("SessionConfig: round.packet_bytes must be"
@@ -128,10 +126,9 @@ void take_snapshot(SessionResult& out, const std::vector<double>& link_bits,
   out.series.push_back(s);
 }
 
-// Final accounting. Session duration: the horizon if one was set (the
-// EventSim advanced its clock to it), otherwise the end of the last
-// round's airtime — the sim clock alone stops at the last round's *start*
-// event.
+// Final accounting. Session duration: the end of the last round's airtime,
+// its ACK timeout included — the session clock alone stops at that
+// round's *start*.
 void finalize_session(SessionResult& out,
                       const std::vector<double>& link_bits,
                       const std::vector<double>& goodput_bits,
@@ -207,8 +204,7 @@ SessionResult run_session(World& world, const Scenario& scenario,
     inj.emplace(config.faults, scenario, rng.fork(0xFA17));
   }
 
-  std::vector<std::uint8_t> flow_on(
-      n_links, dyn.churn.start_all_active ? 1 : 0);
+  std::vector<std::uint8_t> flow_on(n_links, 1);
   std::vector<std::uint8_t> present(world.n_nodes(), 1);
   std::vector<std::uint8_t> mask(n_links, 1);
   // Only a live session can mask links out; the others skip the round
@@ -220,8 +216,6 @@ SessionResult run_session(World& world, const Scenario& scenario,
   if (dyn.use_rate_control) round_cfg.rate_control = &rate_ctl;
   if (inj) round_cfg.faults = &*inj;
 
-  mac::EventSim sim;
-  sim.set_trace(config.trace);
   if (config.trace != nullptr) {
     config.trace->emit(util::TraceEvent::kSessionStart, 0.0, n_links);
   }
@@ -230,26 +224,20 @@ SessionResult run_session(World& world, const Scenario& scenario,
   util::RunningStats winners_per_round;
   util::RunningStats streams_per_round;
   util::RunningStats active_links;
+  double now = 0.0;          // session clock: the last round start/ACK expiry
   double busy_end_s = 0.0;   // sim time when the last round's body+ACK ended
   double last_step_t = 0.0;  // sim time the world state is current for
+  std::uint64_t clock_steps = 0;
   const double ack_timeout = mac::ack_timeout_s(round_cfg.airtime);
 
-  // Snapshots the cumulative state at busy_end_s, then schedules the next
-  // round where the last one's airtime (plus the idle gap) ended. The
-  // handler is moved — not copied — through the event queue
-  // (EventSim::run), so chaining thousands of rounds costs one small
-  // allocation each.
-  const auto snapshot_and_chain = [&](std::function<void()>& self) {
-    if (config.snapshot_every > 0 &&
-        out.rounds % config.snapshot_every == 0) {
-      take_snapshot(out, link_bits, winners_per_round, busy_end_s);
+  // Moves the clock to `t` (a round start or an ACK-timeout expiry) and
+  // records the step as kSimEvent, `a` counting the steps so far.
+  const auto step_clock = [&](double t) {
+    now = t;
+    if (config.trace != nullptr) {
+      config.trace->emit(util::TraceEvent::kSimEvent, now, clock_steps, now);
     }
-    if (out.rounds >= config.n_rounds) return;
-    const double next_start = busy_end_s + config.inter_round_gap_s;
-    if (config.max_duration_s > 0.0 && next_start > config.max_duration_s) {
-      return;  // horizon reached; EventSim settles the clock at it
-    }
-    sim.schedule_at(next_start, self);
+    ++clock_steps;
   };
   // P(at least one Poisson event of `rate` in dt) — the memoryless
   // transition probability for flows and nodes.
@@ -258,12 +246,16 @@ SessionResult run_session(World& world, const Scenario& scenario,
            dyn_rng->bernoulli(1.0 - std::exp(-rate_hz * dt));
   };
 
-  std::function<void()> round_fn = [&] {
+  // One iteration per round: world and fault step, mask, the round (or an
+  // idle slot), accounting, feedback, the ACK timeout of un-ACKed frames,
+  // the snapshot. The next round starts when the medium goes idle again,
+  // after the inter-round gap.
+  for (step_clock(0.0);; step_clock(busy_end_s + config.inter_round_gap_s)) {
     poll_cancel(config.cancel, out.rounds);
     // --- Physical-world step: the time since the last step elapsed with
     // the previous round on the air; the world moved underneath it.
-    const double dt = sim.now() - last_step_t;
-    last_step_t = sim.now();
+    const double dt = now - last_step_t;
+    last_step_t = now;
     if (live && dt > 0.0) {
       mobility->advance(dt, *dyn_rng);
       world.advance(mobility->positions(), mobility->speed_mps(), dt,
@@ -287,7 +279,7 @@ SessionResult run_session(World& world, const Scenario& scenario,
     // with a crashed endpoint vanish from this round's mask.
     if (inj) {
       inj->begin_round();
-      inj->advance_outages(dt, sim.now());
+      inj->advance_outages(dt, now);
     }
     std::size_t n_active = 0;
     for (std::size_t l = 0; l < n_links; ++l) {
@@ -296,10 +288,11 @@ SessionResult run_session(World& world, const Scenario& scenario,
                     ? 1
                     : 0;
     }
-    if (inj) inj->apply_outage_mask(mask, sim.now());
+    if (inj) inj->apply_outage_mask(mask, now);
     for (std::size_t l = 0; l < n_links; ++l) n_active += mask[l];
     active_links.add(static_cast<double>(n_active));
 
+    bool any_unacked = false;
     if (n_active == 0) {
       // Nobody has traffic: the cell idles for one listen interval. Counts
       // as a (delivery-free) round so churned-dead sessions terminate.
@@ -309,104 +302,95 @@ SessionResult run_session(World& world, const Scenario& scenario,
       streams_per_round.add(0.0);
       out.round_duration.add(dyn.churn.idle_step_s);
       out.round_duration_q.add(dyn.churn.idle_step_s);
-      busy_end_s = sim.now() + dyn.churn.idle_step_s;
+      busy_end_s = now + dyn.churn.idle_step_s;
       if (config.trace != nullptr) {
         config.trace->emit(util::TraceEvent::kRoundEnd, busy_end_s, 0,
                            dyn.churn.idle_step_s);
       }
-      snapshot_and_chain(round_fn);
-      return;
-    }
-
-    const RoundResult res =
-        config.scheme == Scheme::kDot11n
-            ? baselines::run_dot11n_round(world, scenario, rng, round_cfg,
-                                          active)
-            : run_nplus_round(world, scenario, rng, round_cfg, active);
-    out.rounds += 1;
-    winners_per_round.add(static_cast<double>(res.winner_order.size()));
-    streams_per_round.add(static_cast<double>(res.total_streams));
-    out.round_duration.add(res.duration_s);
-    out.round_duration_q.add(res.duration_s);
-    out.degenerate_esnr += res.degenerate_esnr;
-    if (inj) inj->add_degenerate_esnr(res.degenerate_esnr);
-    busy_end_s = sim.now() + res.duration_s;
-    if (config.trace != nullptr) {
-      config.trace->emit(util::TraceEvent::kRoundEnd, busy_end_s,
-                         res.winner_order.size(), res.duration_s);
-    }
-
-    // --- Delivery accounting. Fault-free: the round's (expected or
-    // realized) delivered bits, goodput == throughput. Fault-aware: each
-    // transmitted frame is realized whole — delivered or not, ACKed or
-    // not — and scored frame by frame; retransmitted deliveries of a frame
-    // the receiver already had (lost ACKs) count toward throughput but not
-    // goodput.
-    bool any_unacked = false;
-    if (!inj) {
-      for (std::size_t l = 0; l < n_links; ++l) {
-        link_bits[l] += res.links[l].delivered_bits;
-        goodput_bits[l] += res.links[l].delivered_bits;
-      }
     } else {
-      for (std::size_t l = 0; l < n_links; ++l) {
-        const LinkOutcome& o = res.links[l];
-        if (o.streams == 0 || o.mcs_index < 0 || o.offered_bits <= 0.0) {
-          continue;  // link did not put a frame on the air
-        }
-        const bool phys = inj->realize_delivery(
-            o.per, round_cfg.fidelity == Fidelity::kFullPhy);
-        const FaultInjector::FrameVerdict v =
-            inj->on_frame(l, phys, busy_end_s);
-        if (v.delivered) {
-          link_bits[l] += o.offered_bits;
-          if (!v.duplicate) goodput_bits[l] += o.offered_bits;
-        }
-        // Any un-ACKed frame — lost body, lost ACK, or the final attempt
-        // of a dropped chain — makes its sender sit out the ACK timeout.
-        any_unacked |= !v.acked;
+      const RoundResult res =
+          config.scheme == Scheme::kDot11n
+              ? baselines::run_dot11n_round(world, scenario, rng, round_cfg,
+                                            active)
+              : run_nplus_round(world, scenario, rng, round_cfg, active);
+      out.rounds += 1;
+      winners_per_round.add(static_cast<double>(res.winner_order.size()));
+      streams_per_round.add(static_cast<double>(res.total_streams));
+      out.round_duration.add(res.duration_s);
+      out.round_duration_q.add(res.duration_s);
+      out.degenerate_esnr += res.degenerate_esnr;
+      if (inj) inj->add_degenerate_esnr(res.degenerate_esnr);
+      busy_end_s = now + res.duration_s;
+      if (config.trace != nullptr) {
+        config.trace->emit(util::TraceEvent::kRoundEnd, busy_end_s,
+                           res.winner_order.size(), res.duration_s);
       }
-    }
 
-    // --- Feedback step: links that transmitted learn from it. Their
-    // transmitters saw ACKs (AARF observations) and heard fresh preambles
-    // from their receivers (reciprocal CSI re-measured); every other
-    // belief in the cell keeps aging toward uselessness. An injected CSI
-    // failure silently loses one re-measurement: the belief keeps aging.
-    if (live) {
-      for (std::size_t l = 0; l < n_links; ++l) {
-        const LinkOutcome& o = res.links[l];
-        if (o.streams == 0 || o.mcs_index < 0) continue;
-        if (dyn.use_rate_control) rate_ctl.observe(l, o.per < 0.5);
-        if (!inj || inj->csi_measurement_ok()) {
-          world.refresh_csi(scenario.links[l].tx_node,
-                            scenario.links[l].rx_node, *dyn_rng);
+      // --- Delivery accounting. Fault-free: the round's (expected or
+      // realized) delivered bits, goodput == throughput. Fault-aware: each
+      // transmitted frame is realized whole — delivered or not, ACKed or
+      // not — and scored frame by frame; retransmitted deliveries of a
+      // frame the receiver already had (lost ACKs) count toward throughput
+      // but not goodput.
+      if (!inj) {
+        for (std::size_t l = 0; l < n_links; ++l) {
+          link_bits[l] += res.links[l].delivered_bits;
+          goodput_bits[l] += res.links[l].delivered_bits;
+        }
+      } else {
+        for (std::size_t l = 0; l < n_links; ++l) {
+          const LinkOutcome& o = res.links[l];
+          if (o.streams == 0 || o.mcs_index < 0 || o.offered_bits <= 0.0) {
+            continue;  // link did not put a frame on the air
+          }
+          const bool phys = inj->realize_delivery(
+              o.per, round_cfg.fidelity == Fidelity::kFullPhy);
+          const FaultInjector::FrameVerdict v =
+              inj->on_frame(l, phys, busy_end_s);
+          if (v.delivered) {
+            link_bits[l] += o.offered_bits;
+            if (!v.duplicate) goodput_bits[l] += o.offered_bits;
+          }
+          // Any un-ACKed frame — lost body, lost ACK, or the final attempt
+          // of a dropped chain — makes its sender sit out the ACK timeout.
+          any_unacked |= !v.acked;
+        }
+      }
+
+      // --- Feedback step: links that transmitted learn from it. Their
+      // transmitters saw ACKs (AARF observations) and heard fresh
+      // preambles from their receivers (reciprocal CSI re-measured); every
+      // other belief in the cell keeps aging toward uselessness. An
+      // injected CSI failure silently loses one re-measurement: the belief
+      // keeps aging.
+      if (live) {
+        for (std::size_t l = 0; l < n_links; ++l) {
+          const LinkOutcome& o = res.links[l];
+          if (o.streams == 0 || o.mcs_index < 0) continue;
+          if (dyn.use_rate_control) rate_ctl.observe(l, o.per < 0.5);
+          if (!inj || inj->csi_measurement_ok()) {
+            world.refresh_csi(scenario.links[l].tx_node,
+                              scenario.links[l].rx_node, *dyn_rng);
+          }
         }
       }
     }
 
     if (any_unacked) {
       // Senders of un-ACKed frames wait out the ACK timeout before the
-      // medium is contended again; the timer extends the busy period.
-      const double timeout_at = busy_end_s + ack_timeout;
-      sim.schedule_at(timeout_at, [&, timeout_at] {
-        busy_end_s = timeout_at;
-        snapshot_and_chain(round_fn);
-      });
-    } else {
-      snapshot_and_chain(round_fn);
+      // medium is contended again; its expiry extends the busy period.
+      step_clock(busy_end_s + ack_timeout);
+      busy_end_s = now;
     }
-  };
-
-  sim.schedule_at(0.0, round_fn);
-  if (config.max_duration_s > 0.0) {
-    sim.run(config.max_duration_s);
-  } else {
-    sim.run();
+    if (config.snapshot_every > 0 &&
+        out.rounds % config.snapshot_every == 0) {
+      take_snapshot(out, link_bits, winners_per_round, busy_end_s);
+    }
+    if (out.rounds >= config.n_rounds) break;
   }
 
   finalize_session(out, link_bits, goodput_bits, winners_per_round,
-                   streams_per_round, sim.now(), busy_end_s);
+                   streams_per_round, now, busy_end_s);
   out.mean_active_links = active_links.mean();
   if (inj) out.faults = inj->stats();
   if (config.trace != nullptr) {

@@ -1,11 +1,11 @@
 // Scenario engine, part 2: multi-round packet sessions.
 //
 // `run_nplus_round` evaluates ONE transmission opportunity. A session chains
-// many of them into a packet-level simulation driven on mac::EventSim: each
-// round runs the full n+ machinery (real DCF backoff by default, join
-// handshakes, concurrent bodies, ACKs), the sim clock advances by the
-// round's airtime, and the next round's contention starts when the medium
-// goes idle again. Per-link delivery feeds streaming util::RunningStats, so
+// many of them into a packet-level simulation stepped by one sim clock:
+// each round runs the full n+ machinery (real DCF backoff by default, join
+// handshakes, concurrent bodies, ACKs), the clock advances by the round's
+// airtime, and the next round's contention starts when the medium goes
+// idle again. Per-link delivery feeds streaming util::RunningStats, so
 // a session reports per-link throughput, Jain fairness, and join-rate both
 // cumulatively and as a time series — without retaining per-round samples.
 #pragma once
@@ -34,25 +34,22 @@ namespace nplus::sim {
 // return, as memoryless (Poisson) processes: between rounds, each entity
 // transitions with probability 1 - exp(-rate * dt) for the dt the previous
 // round occupied. A link contends only while its flow is on AND both
-// endpoints are present. Churn operates over the scenario's fixed node
-// population — departed nodes may return, but brand-new nodes never appear
-// mid-session (an eager World cannot grow channels; document-level
-// limitation, not an RNG one).
+// endpoints are present; every flow starts on, every node present. Churn
+// operates over the scenario's fixed node population — departed nodes may
+// return, but brand-new nodes never appear mid-session (an eager World
+// cannot grow channels; document-level limitation, not an RNG one).
 struct ChurnConfig {
   double flow_arrival_hz = 0.0;    // idle flow -> backlogged
   double flow_departure_hz = 0.0;  // backlogged flow -> idle
   double node_leave_hz = 0.0;      // present node -> away
   double node_return_hz = 0.0;     // away node -> present
-  // Initial flow state (nodes always start present).
-  bool start_all_active = true;
   // Sim-clock step consumed by a slot in which no link is active (the cell
   // sits idle listening; nothing to contend for).
   double idle_step_s = 1e-3;
 
   bool any() const {
     return flow_arrival_hz > 0.0 || flow_departure_hz > 0.0 ||
-           node_leave_hz > 0.0 || node_return_hz > 0.0 ||
-           !start_all_active;
+           node_leave_hz > 0.0 || node_return_hz > 0.0;
   }
 };
 
@@ -89,10 +86,6 @@ enum class Scheme {
 struct SessionConfig {
   // Rounds to simulate (a round = one n+ transmission opportunity).
   std::size_t n_rounds = 200;
-  // Optional sim-clock horizon (seconds; 0 = none): the session stops
-  // scheduling rounds past it and the clock settles exactly at the horizon
-  // (EventSim::run(until) semantics), so rates include any idle tail.
-  double max_duration_s = 0.0;
   // Idle gap between a round ending and the next contention starting.
   double inter_round_gap_s = 0.0;
   // Take a time-series snapshot every this many rounds (0 = no series).
@@ -131,11 +124,11 @@ struct SessionConfig {
   const util::CancelToken* cancel = nullptr;
   // Optional telemetry sink (util/trace.h): when set, the session emits
   // kSessionStart / kRoundEnd / kSessionEnd records into this per-worker
-  // ring and wires the EventSim kernel to emit kSimEvent per dispatched
-  // event. Emission is draw-free and every recorded time is a sim-clock
-  // value (never wall clock), so a traced session's RNG trace, results,
-  // and merged trace bytes are identical across thread counts and to an
-  // untraced run. nullptr (default) costs one branch per round.
+  // ring, plus one kSimEvent each time its clock steps (a round start or
+  // an ACK-timeout expiry). Emission is draw-free and every recorded time
+  // is a sim-clock value (never wall clock), so a traced session's RNG
+  // trace, results, and merged trace bytes are identical across thread
+  // counts and to an untraced run. nullptr (default) costs one branch per round.
   util::TraceRing* trace = nullptr;
 
   // Rejects NaN/negative durations and rates, zero-probability nonsense,
@@ -211,8 +204,8 @@ double jain_index(const std::vector<double>& xs);
 // With config.faults.enabled(), a FaultInjector (own forked stream) rides
 // the whole session: node outages mask links out of contention, header
 // losses gate joiners, every transmitted frame is realized
-// delivered/lost, un-ACKed frames cost an ACK timeout (an EventSim timer
-// that extends the busy period) and re-enter contention with escalated
+// delivered/lost, un-ACKed frames cost an ACK timeout (a clock step that
+// extends the busy period) and re-enter contention with escalated
 // windows until ACKed or dropped at the retry limit. SessionResult then
 // separates goodput from throughput and carries the FaultStats counters.
 SessionResult run_session(World& world, const Scenario& scenario,

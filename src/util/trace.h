@@ -56,8 +56,8 @@ enum class TraceEvent : std::uint32_t {
   kSessionEnd = 4,    // run_session finished; a = rounds, b = duration_s
   kRoundEnd = 5,      // one contention round settled; a = winners,
                       // b = round duration_s
-  kSimEvent = 6,      // mac::EventSim fired a scheduled event; a = events
-                      // fired so far, b = sim time of the event
+  kSimEvent = 6,      // the session clock stepped (a round start or an
+                      // ACK-timeout expiry); a = steps so far, b = sim time
 };
 
 // One fixed-size trace record; 40 bytes on disk, little-endian.

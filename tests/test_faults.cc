@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "mac/airtime.h"
 #include "phy/link_abstraction.h"
 #include "phy/mcs.h"
 #include "sim/checkpoint_runner.h"
@@ -22,6 +23,7 @@
 #include "sim/scenario_gen.h"
 #include "sim/session.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace nplus {
 namespace {
@@ -248,6 +250,58 @@ TEST(Faults, LostAcksCauseDoubleDeliveries) {
   EXPECT_NEAR(good, r.goodput_mbps, 1e-12);
 }
 
+TEST(Faults, TracedClockStepsAtRoundStartsAndAckTimeouts) {
+  // The session clock steps only at round starts and ACK-timeout expiries,
+  // and each step is one kSimEvent record. With lost ACKs on a lossless
+  // one-link channel, every un-ACKed round is one lost ACK, so the records
+  // are exactly the rounds plus the lost ACKs, and each step lands where
+  // the previous round's body ended plus the ACK timeout, the idle gap, or
+  // both.
+  util::Rng t(3);
+  sim::GenConfig gen;
+  gen.n_links = 1;
+  const sim::GeneratedTopology topo = sim::generate_topology(gen, t);
+  const phy::LinkAbstraction lossless = zero_per_table();
+  sim::SessionConfig cfg;
+  cfg.n_rounds = 200;
+  cfg.inter_round_gap_s = 1e-4;
+  cfg.round.link_abstraction = &lossless;
+  cfg.faults.ack_loss_rate = 0.4;
+  util::TraceRing ring(0, 4096);
+  cfg.trace = &ring;
+  util::Rng w(11), s(12);
+  sim::World world = sim::make_world(topo, w);
+  const sim::SessionResult r =
+      sim::run_session(world, topo.scenario, s, cfg);
+  ASSERT_EQ(ring.dropped(), 0u);
+  ASSERT_GT(r.faults.ack_losses, 20u);
+
+  const double gap = cfg.inter_round_gap_s;
+  const double ack = mac::ack_timeout_s(cfg.round.airtime);
+  const auto kSim = static_cast<std::uint32_t>(util::TraceEvent::kSimEvent);
+  const auto kEnd = static_cast<std::uint32_t>(util::TraceEvent::kRoundEnd);
+  std::uint64_t steps = 0, ack_steps = 0;
+  double round_end = -1.0;  // no round has ended yet
+  for (const util::TraceRecord& rec : ring.drain()) {
+    if (rec.type == kEnd) round_end = rec.t;
+    if (rec.type != kSim) continue;
+    EXPECT_EQ(rec.a, steps);
+    EXPECT_EQ(rec.b, rec.t);
+    if (steps == 0) {
+      EXPECT_EQ(rec.t, 0.0);
+    } else if (rec.t == round_end + ack) {
+      ++ack_steps;
+    } else {
+      EXPECT_TRUE(rec.t == round_end + gap || rec.t == round_end + ack + gap)
+          << "step " << steps << " at " << rec.t << ", round ended at "
+          << round_end;
+    }
+    ++steps;
+  }
+  EXPECT_EQ(ack_steps, r.faults.ack_losses);
+  EXPECT_EQ(steps, r.rounds + ack_steps);
+}
+
 // --- Outages and recovery ------------------------------------------------
 
 TEST(Faults, OutagesMaskLinksAndRecoveryIsTimed) {
@@ -378,10 +432,6 @@ TEST(Faults, Dot11nSchemeRunsUnderFaults) {
 TEST(Validation, SessionConfigRejectsNonsense) {
   sim::SessionConfig ok;
   EXPECT_NO_THROW(ok.validate());
-
-  sim::SessionConfig c1;
-  c1.max_duration_s = kNaN;
-  EXPECT_THROW(c1.validate(), std::invalid_argument);
 
   sim::SessionConfig c2;
   c2.inter_round_gap_s = -1.0;

@@ -1,183 +1,17 @@
-// Tests for the MAC layer: event kernel, DCF backoff, the n+ two-level
-// contention (all four Fig. 5 scenarios), and airtime/handshake accounting.
+// Tests for the MAC layer: DCF backoff, the n+ two-level contention (all
+// four Fig. 5 scenarios), and airtime/handshake accounting.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
 #include "mac/airtime.h"
 #include "mac/contention.h"
 #include "mac/dcf.h"
-#include "mac/event_sim.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace nplus::mac {
 namespace {
-
-TEST(EventSim, RunsInTimeOrder) {
-  EventSim sim;
-  std::vector<int> order;
-  sim.schedule_at(3.0, [&] { order.push_back(3); });
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(2.0, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-}
-
-TEST(EventSim, FifoTieBreak) {
-  EventSim sim;
-  std::vector<int> order;
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(1.0, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventSim, NestedScheduling) {
-  EventSim sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    ++fired;
-    sim.schedule_in(0.5, [&] { ++fired; });
-  });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(sim.now(), 1.5);
-}
-
-TEST(EventSim, RunUntilStops) {
-  EventSim sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(5.0, [&] { ++fired; });
-  sim.run(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-  // An explicit horizon always advances the clock to it, even with events
-  // still pending beyond it.
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
-TEST(EventSim, AdvancesClockToHorizonWhenQueueDrains) {
-  // Regression: run(until) used to leave now() at the last event when the
-  // queue emptied early, so a session that went idle never aged to its
-  // horizon and rates computed from now() were inflated.
-  EventSim sim;
-  sim.schedule_at(1.0, [] {});
-  sim.run(10.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-  // Scheduling after the advance respects the new clock.
-  int fired = 0;
-  sim.schedule_in(1.0, [&] { ++fired; });
-  sim.run(12.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 12.0);
-}
-
-TEST(EventSim, CancelPendingEventNeverRuns) {
-  EventSim sim;
-  int fired = 0;
-  const TimerId a = sim.schedule_at(1.0, [&] { fired += 1; });
-  sim.schedule_at(2.0, [&] { fired += 10; });
-  EXPECT_EQ(sim.pending(), 2u);
-  EXPECT_TRUE(sim.cancel(a));
-  EXPECT_EQ(sim.pending(), 1u);
-  // Double-cancel is a safe no-op.
-  EXPECT_FALSE(sim.cancel(a));
-  sim.run();
-  EXPECT_EQ(fired, 10);
-  // A cancelled event is a tombstone: popping it must NOT advance the
-  // clock (t=1.0 here), only live events do (t=2.0).
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
-TEST(EventSim, CancelledTailEventDoesNotAdvanceClock) {
-  // The ACK-timeout pattern: arm a timeout beyond the current event, then
-  // cancel it when the ACK wins the race. The dead timer must not drag the
-  // clock to its (later) deadline under a default run().
-  EventSim sim;
-  sim.schedule_at(1.0, [] {});
-  const TimerId timeout = sim.schedule_at(5.0, [] {
-    FAIL() << "cancelled timeout fired";
-  });
-  EXPECT_TRUE(sim.cancel(timeout));
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(EventSim, CancelAfterFireReturnsFalse) {
-  EventSim sim;
-  TimerId id = 0;
-  id = sim.schedule_at(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(id));          // already fired
-  EXPECT_FALSE(sim.cancel(id + 1000));   // never scheduled
-}
-
-TEST(EventSim, CancelThenRescheduleKeepsOrder) {
-  // Regression for the cancel-then-fire race: cancelling an event and
-  // scheduling a replacement at the same instant must run the replacement
-  // exactly once, in FIFO order with its neighbors.
-  EventSim sim;
-  std::vector<int> order;
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  const TimerId dead = sim.schedule_at(2.0, [&] { order.push_back(99); });
-  sim.schedule_at(2.0, [&] { order.push_back(2); });
-  EXPECT_TRUE(sim.cancel(dead));
-  sim.schedule_at(2.0, [&] { order.push_back(3); });
-  sim.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
-TEST(EventSim, ClearDropsCancellationState) {
-  EventSim sim;
-  const TimerId id = sim.schedule_at(1.0, [] {});
-  sim.cancel(id);
-  sim.clear();
-  EXPECT_EQ(sim.pending(), 0u);
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventSim, DefaultRunKeepsClockAtLastEvent) {
-  // The kNever default keeps the historical "clock stops at the last
-  // executed event" behavior.
-  EventSim sim;
-  sim.schedule_at(3.5, [] {});
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 3.5);
-}
-
-TEST(EventSim, HorizonBeforeAnyEventStillAdvances) {
-  EventSim sim;
-  sim.schedule_at(5.0, [] {});
-  sim.run(2.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(EventSim, HandlersAreMovedNotCopied) {
-  // Regression: run() used to copy each handler out of priority_queue::top,
-  // duplicating the captured state of every event at dispatch time. With
-  // the move, exactly one live copy of the captured state remains when the
-  // handler executes.
-  EventSim sim;
-  auto token = std::make_shared<int>(0);
-  long observed = -1;
-  sim.schedule_at(1.0, [token, &observed] { observed = token.use_count(); });
-  token.reset();
-  sim.run();
-  EXPECT_EQ(observed, 1);
-}
 
 TEST(Backoff, CounterWithinWindow) {
   util::Rng rng(1);
@@ -199,8 +33,6 @@ TEST(Backoff, CollisionDoublesWindow) {
   EXPECT_EQ(b.cw(), 31);
   b.on_collision(rng);
   EXPECT_EQ(b.cw(), 63);
-  b.on_success(rng);
-  EXPECT_EQ(b.cw(), 15);
 }
 
 TEST(Backoff, WindowCapsAtCwMax) {
@@ -385,44 +217,6 @@ TEST(NplusContention, AlwaysFillsAllDof) {
     util::Rng r(1000 + seed);
     const auto res = nplus_contention(three_pairs(), r);
     EXPECT_EQ(res.total_streams, 3u);
-  }
-}
-
-TEST(NplusContention, AdmissionHookVetoes) {
-  util::Rng rng(8);
-  // Veto every secondary join: only the first winner transmits.
-  const AdmissionHook veto = [](std::size_t, std::size_t used) {
-    return used == 0;
-  };
-  const auto res = nplus_contention(three_pairs(), rng, {}, {}, veto);
-  EXPECT_EQ(res.winners.size(), 1u);
-}
-
-TEST(RandomWinnerContention, SameDofRules) {
-  util::Rng rng(9);
-  for (int i = 0; i < 100; ++i) {
-    const auto res = random_winner_contention(three_pairs(), rng);
-    EXPECT_EQ(res.total_streams, 3u);
-    std::size_t used = 0;
-    for (const auto& w : res.winners) {
-      EXPECT_EQ(w.dof_before, used);
-      used += w.n_streams;
-    }
-  }
-}
-
-TEST(Dot11nContention, SingleWinnerUsesOwnAntennas) {
-  util::Rng rng(10);
-  std::map<std::size_t, int> wins;
-  for (int i = 0; i < 3000; ++i) {
-    const auto res = dot11n_contention(three_pairs(), rng);
-    ASSERT_EQ(res.winners.size(), 1u);
-    const auto& w = res.winners[0];
-    EXPECT_EQ(w.n_streams, w.contender_id + 1);  // antennas == id + 1 here
-    wins[w.contender_id]++;
-  }
-  for (const auto& [id, count] : wins) {
-    EXPECT_NEAR(count / 3000.0, 1.0 / 3.0, 0.05) << id;
   }
 }
 

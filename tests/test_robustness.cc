@@ -507,6 +507,14 @@ TEST(Audit, CatchesSeededViolations) {
     EXPECT_FALSE(audit_session(r, ctx).empty());
     EXPECT_THROW(audit_session_or_throw(r, ctx), util::InvariantError);
   }
+  {
+    SessionResult r = clean;  // elapsed clock above busy + accountable idle
+    r.duration_s = 3.0 * r.round_duration.mean() *
+                       static_cast<double>(r.round_duration.count()) +
+                   1.0;
+    EXPECT_FALSE(audit_session(r, ctx).empty());
+    EXPECT_THROW(audit_session_or_throw(r, ctx), util::InvariantError);
+  }
 }
 
 TEST(CheckpointRunner, FreshRunMatchesReferenceLoop) {

@@ -1,7 +1,7 @@
 // Tests for the scenario engine: random topology generation (patterns,
 // placement, antenna mixes, determinism), named stress presets, the sparse
-// role-masked World mode, multi-round DCF sessions on mac::EventSim, and the
-// parallel generated-topology sweep.
+// role-masked World mode, multi-round DCF sessions on the session clock,
+// and the parallel generated-topology sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -305,45 +305,34 @@ TEST_F(SessionSuite, DeterministicForSameStream) {
   EXPECT_DOUBLE_EQ(a.duration_s, b.duration_s);
 }
 
-TEST_F(SessionSuite, HorizonCapsTheSession) {
-  World w = preset_world(24);
-  SessionConfig cfg;
-  cfg.n_rounds = 100000;
-  cfg.max_duration_s = 20e-3;  // ~a dozen rounds fit
-  cfg.snapshot_every = 0;
-  util::Rng rng(25);
-  const SessionResult res = run_session(w, topo_.scenario, rng, cfg);
-  EXPECT_LT(res.rounds, 100000u);
-  EXPECT_GT(res.rounds, 2u);
-  // The clock settles at (or just past, if the last round overran) the
-  // horizon — the EventSim::run(until) clock-advance contract.
-  EXPECT_GE(res.duration_s, cfg.max_duration_s);
-  EXPECT_LT(res.duration_s, cfg.max_duration_s + 0.01);
-}
-
 TEST_F(SessionSuite, MatchesManualRoundLoopExactly) {
-  // The session is the EventSim-driven chaining of run_nplus_round: with
-  // identical configs and RNG streams (including a fresh identically-seeded
-  // world, whose estimate() draws advance per round), a hand-rolled loop
-  // must reproduce its totals bit-for-bit (the scheduling adds/loses
-  // nothing).
-  World wa = preset_world(26);
-  World wb = preset_world(26);
-  SessionConfig cfg;
-  cfg.n_rounds = 25;
-  cfg.snapshot_every = 0;
-  util::Rng r1(27), r2(27);
-  const SessionResult res = run_session(wa, topo_.scenario, r1, cfg);
+  // The session is a plain clock chaining run_nplus_round: with identical
+  // configs and RNG streams (including a fresh identically-seeded world,
+  // whose estimate() draws advance per round), a hand-rolled loop must
+  // reproduce its totals bit-for-bit (the clock adds/loses nothing). The
+  // idle gap starts every round but the first, so the hand-rolled clock
+  // adds it after every round but the last, in the session's order.
+  for (const double gap : {0.0, 2e-3}) {
+    World wa = preset_world(26);
+    World wb = preset_world(26);
+    SessionConfig cfg;
+    cfg.n_rounds = 25;
+    cfg.snapshot_every = 0;
+    cfg.inter_round_gap_s = gap;
+    util::Rng r1(27), r2(27);
+    const SessionResult res = run_session(wa, topo_.scenario, r1, cfg);
 
-  double bits = 0.0, busy = 0.0;
-  for (std::size_t i = 0; i < cfg.n_rounds; ++i) {
-    const RoundResult round = run_nplus_round(wb, topo_.scenario, r2,
-                                              cfg.round);
-    busy += round.duration_s;
-    for (const auto& l : round.links) bits += l.delivered_bits;
+    double bits = 0.0, clock = 0.0;
+    for (std::size_t i = 0; i < cfg.n_rounds; ++i) {
+      const RoundResult round = run_nplus_round(wb, topo_.scenario, r2,
+                                                cfg.round);
+      clock += round.duration_s;
+      if (i + 1 < cfg.n_rounds) clock += gap;
+      for (const auto& l : round.links) bits += l.delivered_bits;
+    }
+    EXPECT_EQ(res.duration_s, clock) << "gap " << gap;
+    EXPECT_DOUBLE_EQ(res.total_mbps, bits / clock / 1e6) << "gap " << gap;
   }
-  EXPECT_DOUBLE_EQ(res.duration_s, busy);
-  EXPECT_DOUBLE_EQ(res.total_mbps, bits / busy / 1e6);
 }
 
 TEST_F(SessionSuite, DcfSessionMatchesPaperPathWithinNoise) {
