@@ -4,8 +4,8 @@
 // The large-scale n+ studies (topology scale, Doppler and churn, the
 // abstraction's fidelity ladder, fault degradation) are config files in
 // bench/configs/*.cfg, not binaries. This driver runs the sweep a config
-// describes and emits the ONE schema (`nplus-bench-v1`) that
-// scripts/bench_compare.py understands.
+// describes and emits the ONE schema (`nplus-bench-v1`); CI compares each
+// smoke result with its checked-in baseline byte for byte.
 //
 //   ./nplus-bench CONFIG.cfg [--out FILE] [--trace FILE] [--timing FILE]
 //                 [--threads N] [--checkpoint FILE] [--resume FILE]
@@ -41,6 +41,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -517,12 +518,24 @@ int run_bench(int argc, char** argv) {
   }
   if (const auto v =
           util::take_size_option(argc, argv, "--checkpoint-every")) {
+    if (*v == 0) throw util::UsageError("--checkpoint-every must be >= 1");
     rcfg.checkpoint_every = *v;
   }
   if (const auto v = util::take_double_option(argc, argv, "--watchdog")) {
+    // 0 turns the watchdog off; a negative or NaN value would too, and an
+    // infinite one would never fire, so neither passes as a budget.
+    if (!std::isfinite(*v) || *v < 0.0) {
+      throw util::UsageError(
+          "--watchdog needs a finite number of seconds >= 0 (0 = off)");
+    }
     rcfg.supervisor.watchdog_s = *v;
   }
   if (const auto v = util::take_size_option(argc, argv, "--retries")) {
+    // max_attempts is an int holding 1 + N.
+    if (*v >= static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+      throw util::UsageError("--retries must be below " +
+                             std::to_string(std::numeric_limits<int>::max()));
+    }
     rcfg.supervisor.max_attempts = 1 + static_cast<int>(*v);
   }
   if (const auto v = util::take_size_option(argc, argv, "--kill-after")) {

@@ -9,8 +9,7 @@ std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
   // std::to_chars with no precision argument emits the SHORTEST string
   // that parses back to exactly `v` — the round-trip guarantee every
-  // JSON consumer of this tree (bench_compare.py, the CI byte diffs)
-  // relies on.
+  // JSON consumer of this tree (the CI byte diffs) relies on.
   char buf[64];
   auto res = std::to_chars(buf, buf + sizeof(buf), v);
   if (res.ec != std::errc()) {

@@ -4,8 +4,8 @@
 // ostream or printf format string happened to carry ("%.9g", default
 // ostream 6 digits). Two consequences: (1) near-equal values — adjacent
 // histogram bucket bounds, two sessions whose throughput differs in the
-// 10th digit — collided after rounding, so downstream diffs and
-// `scripts/bench_compare.py` saw them as identical; (2) a re-read of the
+// 10th digit — collided after rounding, so downstream diffs saw them as
+// identical; (2) a re-read of the
 // JSON did not reproduce the double that was written, so "compare the
 // fresh run against the checked-in baseline" silently compared rounded
 // values. `json_double` is the single seam: shortest round-trippable
