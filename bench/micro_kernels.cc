@@ -19,6 +19,8 @@
 #include "phy/constellation.h"
 #include "phy/conv_code.h"
 #include "phy/frame.h"
+#include "phy/link_abstraction.h"
+#include "phy/mcs.h"
 #include "phy/transceiver.h"
 #include "util/rng.h"
 
@@ -496,6 +498,36 @@ void BM_ViterbiDecodeSoft1500B(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ViterbiDecodeSoft1500B)->Unit(benchmark::kMicrosecond);
+
+// One 1500-byte 64-QAM 3/4 stream through the whole full-PHY scorer:
+// payload draw, encode, per-symbol observation model (one sibling stream,
+// one residual interferer, noise at about 25 dB), soft demap, Viterbi and
+// CRC. Fixed models on 48 subcarriers, so every iteration does the same
+// work.
+void BM_StreamDeliveryFullPhy(benchmark::State& state) {
+  const phy::Mcs& mcs = phy::mcs_by_index(7);
+  std::vector<phy::StreamRxModel> models(48);
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    const double phase = 0.13 * static_cast<double>(k);
+    phy::StreamRxModel& m = models[k];
+    m.gain = std::polar(0.8 + 0.004 * static_cast<double>(k), phase);
+    m.self = {std::polar(0.01, 1.0 - phase)};
+    m.leak = {std::polar(0.01, 2.0 + phase)};
+    m.noise_var = 2e-3;
+    m.sinr = std::norm(m.gain) / (m.noise_var + 2e-4);
+  }
+  util::Rng rng(10);
+  std::size_t delivered = 0;
+  for (auto _ : state) {
+    const bool ok =
+        phy::simulate_stream_delivery_mimo(1500, mcs, models, rng);
+    delivered += ok ? 1 : 0;
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.counters["ok_frac"] = benchmark::Counter(
+      static_cast<double>(delivered), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StreamDeliveryFullPhy)->Unit(benchmark::kMicrosecond);
 
 void BM_DemapSoftQam64_1500B(benchmark::State& state) {
   const Qam64Frame& f = qam64_frame();

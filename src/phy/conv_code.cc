@@ -1,9 +1,15 @@
 #include "phy/conv_code.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "phy/conv_code_internal.h"
 
 namespace nplus::phy {
 
@@ -13,6 +19,7 @@ constexpr unsigned kG0 = 0133;  // octal, 7 taps
 constexpr unsigned kG1 = 0171;
 constexpr int kK = 7;
 constexpr int kStates = 1 << (kK - 1);  // 64
+constexpr int kButterflies = kStates / 2;
 
 // Parity of the lowest 7 bits.
 constexpr std::uint8_t parity7(unsigned x) {
@@ -23,28 +30,39 @@ constexpr std::uint8_t parity7(unsigned x) {
   return static_cast<std::uint8_t>(x & 1u);
 }
 
-// Puncturing patterns over the rate-1/2 output pairs (A = g0 bit, B = g1
-// bit). Pattern entries: true = transmitted, false = punctured.
-// Rate 2/3: period 2 input bits -> pairs A1 B1 A2 (B2 punctured).
-// Rate 3/4: period 3 input bits -> A1 B1 A2 B3 (B2, A3 punctured).
+// Mother-code output pair (a << 1) | b of each 7-bit register: the input
+// bit in bit 6, the predecessor state in bits 0..5.
+constexpr std::array<std::uint8_t, 2 * kStates> output_pairs() {
+  std::array<std::uint8_t, 2 * kStates> pairs{};
+  for (unsigned reg = 0; reg < 2 * kStates; ++reg) {
+    pairs[reg] = static_cast<std::uint8_t>((parity7(reg & kG0) << 1) |
+                                           parity7(reg & kG1));
+  }
+  return pairs;
+}
+constexpr std::array<std::uint8_t, 2 * kStates> kPairs = output_pairs();
+
+// Puncturing patterns over the serialized rate-1/2 stream A1 B1 A2 B2 ...
+// (A = g0 bit, B = g1 bit), walked with a phase index: keep[phase] is 1
+// where the bit is transmitted. Every period is a whole number of A,B
+// pairs, so an encoder step always starts on an even phase.
+// Rate 2/3: A1 B1 A2 (B2 punctured).
+// Rate 3/4: A1 B1 A2 B3 (B2, A3 punctured).
 struct Puncture {
-  std::vector<bool> pattern;  // over the serialized A,B stream
-  std::size_t in_period;      // input bits per period
+  std::array<std::uint8_t, 6> keep;
+  std::size_t period;
 };
 
-const Puncture& puncture_for(CodeRate r) {
-  static const Puncture p12{{true, true}, 1};
-  static const Puncture p23{{true, true, true, false}, 2};
-  static const Puncture p34{{true, true, true, false, false, true}, 3};
+constexpr Puncture puncture_for(CodeRate r) {
   switch (r) {
     case CodeRate::kRate1_2:
-      return p12;
+      return {{1, 1}, 2};
     case CodeRate::kRate2_3:
-      return p23;
+      return {{1, 1, 1, 0}, 4};
     case CodeRate::kRate3_4:
-      return p34;
+      return {{1, 1, 1, 0, 0, 1}, 6};
   }
-  return p12;
+  return {{1, 1}, 2};
 }
 
 }  // namespace
@@ -78,129 +96,207 @@ double code_rate_value(CodeRate r) {
 }
 
 std::size_t coded_length(std::size_t n_in, CodeRate rate) {
-  const auto& p = puncture_for(rate);
   // Mother-code output length 2*n_in, walked against the puncture pattern.
-  std::size_t kept = 0;
-  const std::size_t pattern_len = p.pattern.size();
-  const std::size_t total = 2 * n_in;
-  const std::size_t full = total / pattern_len;
+  const Puncture p = puncture_for(rate);
   std::size_t kept_per_period = 0;
-  for (bool b : p.pattern) kept_per_period += b ? 1u : 0u;
-  kept = full * kept_per_period;
-  for (std::size_t i = full * pattern_len; i < total; ++i) {
-    if (p.pattern[i % pattern_len]) ++kept;
-  }
+  for (std::size_t i = 0; i < p.period; ++i) kept_per_period += p.keep[i];
+  const std::size_t total = 2 * n_in;
+  std::size_t kept = total / p.period * kept_per_period;
+  for (std::size_t i = 0; i < total % p.period; ++i) kept += p.keep[i];
   return kept;
 }
 
 Bits conv_encode(const Bits& data, CodeRate rate) {
-  const auto& p = puncture_for(rate);
-  Bits out;
-  out.reserve(coded_length(data.size(), rate));
+  const Puncture p = puncture_for(rate);
+  Bits out(coded_length(data.size(), rate));
+  std::size_t n = 0;
+  std::size_t phase = 0;
   unsigned state = 0;  // most recent bit in the LSB of the shifted-in side
-  std::size_t mother_idx = 0;
   for (std::uint8_t bit : data) {
     const unsigned reg = (static_cast<unsigned>(bit & 1u) << 6) | state;
-    const std::uint8_t a = parity7(reg & kG0);
-    const std::uint8_t b = parity7(reg & kG1);
-    if (p.pattern[mother_idx % p.pattern.size()]) out.push_back(a);
-    ++mother_idx;
-    if (p.pattern[mother_idx % p.pattern.size()]) out.push_back(b);
-    ++mother_idx;
+    if (p.keep[phase] != 0) out[n++] = kPairs[reg] >> 1;
+    if (p.keep[phase + 1] != 0) out[n++] = kPairs[reg] & 1u;
+    phase = phase + 2 == p.period ? 0 : phase + 2;
     state = reg >> 1;
   }
+  assert(n == out.size());
   return out;
 }
 
 namespace {
 
-// Depunctures a soft stream (LLRs) back to the full-rate 2*n_out-pair stream,
-// inserting 0 (erasure) at punctured positions.
-std::vector<double> depuncture(const std::vector<double>& in, std::size_t n_in,
-                               CodeRate rate) {
-  const auto& p = puncture_for(rate);
-  std::vector<double> out(2 * n_in, 0.0);
-  std::size_t src = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (p.pattern[i % p.pattern.size()]) {
-      if (src < in.size()) out[i] = in[src++];
-    }
-  }
-  return out;
-}
+// A vector of W doubles, and the mask type a lane-wise compare of two of
+// them yields (all bits set where true).
+template <int W>
+struct Lanes;
+template <>
+struct Lanes<2> {
+  typedef double Vec __attribute__((vector_size(16)));
+  typedef std::int64_t Mask __attribute__((vector_size(16)));
+};
+template <>
+struct Lanes<4> {
+  typedef double Vec __attribute__((vector_size(32)));
+  typedef std::int64_t Mask __attribute__((vector_size(32)));
+};
 
-// Branch-metric selector per butterfly, a compile-time table. The trellis
-// depends only on the mother code (g0/g1), not on the CodeRate: puncturing
-// is handled entirely by depuncture(), so one table serves every rate.
+// The forward pass of the trellis over n_steps steps of `llr` (2 entries
+// per step), W butterflies per vector: lane l of block j is butterfly
+// k = j*W + l. Advances the 64 path metrics in `metric` and writes one
+// survivor word per step.
 //
 // Butterfly k joins the predecessor pair 2k, 2k+1 to the successor pair k
-// (input 0) and k+32 (input 1). Both generators tap the input bit (bit 6
-// of the register) and the oldest bit (bit 0, the predecessor's parity), so
-// flipping either one flips both coded bits. The four edges therefore carry
-// only two output pairs, (a, b) and its complement, and the correlation
-// metric of a complement is the exact negation of the original. sel[k] holds
-// the (a << 1) | b output pair of the edge 2k -> k.
-constexpr std::array<std::uint8_t, kStates / 2> butterfly_sel() {
-  std::array<std::uint8_t, kStates / 2> sel{};
-  for (unsigned k = 0; k < kStates / 2; ++k) {
-    const unsigned reg = 2 * k;  // input 0, predecessor state 2k
-    sel[k] = static_cast<std::uint8_t>((parity7(reg & kG0) << 1) |
-                                       parity7(reg & kG1));
+// (input 0) and k+32 (input 1). Both generators tap the input bit and the
+// oldest bit, so the four edges carry one branch metric b and its exact
+// negation: e+b and o-b into k, e-b and o+b into k+32. b is la+lb or la-lb,
+// negated when the edge 2k -> k emits a = 1: selection and negation only,
+// no multiply, so no contraction can round differently in any build.
+// Round-to-nearest is sign-symmetric, so -(la-lb) equals -la+lb up to the
+// sign of a zero, which no compare can tell apart.
+//
+// Every lane keeps the scalar rules: the even candidate stands unless it is
+// -inf or NaN, and the odd one wins only if strictly greater. So ties go to
+// the even predecessor, an unreached predecessor (-inf) never wins, and a
+// NaN is never stored. The one cross-lane operation is the integer OR that
+// folds the decision masks into the step's survivor word.
+//
+// Always inlined, so each caller compiles the body for its own target.
+template <int W>
+[[gnu::always_inline]] inline void trellis_pass(const double* llr,
+                                                std::size_t n_steps,
+                                                std::uint64_t* survivors,
+                                                double* metric) {
+  using Vec = typename Lanes<W>::Vec;
+  using Mask = typename Lanes<W>::Mask;
+  constexpr int kBlocks = kButterflies / W;
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+  // Per-lane constants: whether b is la-lb (the pair's bits differ),
+  // whether it is negated (a = 1), and the lane's survivor bit.
+  Mask use_diff[kBlocks];
+  Mask negate[kBlocks];
+  Mask bit[kBlocks];
+  Vec neg_inf;
+  for (int l = 0; l < W; ++l) neg_inf[l] = kNegInf;
+  for (int j = 0; j < kBlocks; ++j) {
+    for (int l = 0; l < W; ++l) {
+      // The output pair of the edge 2k -> k. The trellis depends only on
+      // the mother code: detail::depuncture() handles every CodeRate.
+      const unsigned s = kPairs[static_cast<std::size_t>(2 * (j * W + l))];
+      use_diff[j][l] = ((s >> 1) ^ s) & 1u ? -1 : 0;
+      negate[j][l] = (s >> 1) != 0 ? -1 : 0;
+      bit[j][l] = std::int64_t{1} << (j * W + l);
+    }
   }
-  return sel;
+
+  // Metrics of states 0..63 in order, W per vector.
+  Vec buf_a[2 * kBlocks];
+  Vec buf_b[2 * kBlocks];
+  std::memcpy(buf_a, metric, kStates * sizeof(double));
+  Vec* cur = buf_a;
+  Vec* next = buf_b;
+
+  for (std::size_t t = 0; t < n_steps; ++t) {
+    const double la = llr[2 * t];
+    const double lb = llr[2 * t + 1];
+    Vec sum;
+    Vec diff;
+    for (int l = 0; l < W; ++l) {
+      sum[l] = la + lb;
+      diff[l] = la - lb;
+    }
+    Mask dec_lo = {};
+    Mask dec_hi = {};
+    for (int j = 0; j < kBlocks; ++j) {
+      // Stride-2 loads: the even and the odd predecessors of the block.
+      const Vec v0 = cur[2 * j];
+      const Vec v1 = cur[2 * j + 1];
+      Vec e;
+      Vec o;
+      if constexpr (W == 2) {
+        e = __builtin_shufflevector(v0, v1, 0, 2);
+        o = __builtin_shufflevector(v0, v1, 1, 3);
+      } else {
+        e = __builtin_shufflevector(v0, v1, 0, 2, 4, 6);
+        o = __builtin_shufflevector(v0, v1, 1, 3, 5, 7);
+      }
+      Vec b = use_diff[j] ? diff : sum;
+      b = negate[j] ? -b : b;
+      const Vec e_plus = e + b;
+      const Vec a0 = e_plus > neg_inf ? e_plus : neg_inf;
+      const Vec o_minus = o - b;
+      const Mask d0 = o_minus > a0;
+      next[j] = d0 ? o_minus : a0;
+      const Vec e_minus = e - b;
+      const Vec a1 = e_minus > neg_inf ? e_minus : neg_inf;
+      const Vec o_plus = o + b;
+      const Mask d1 = o_plus > a1;
+      next[kBlocks + j] = d1 ? o_plus : a1;
+      dec_lo |= d0 & bit[j];
+      dec_hi |= d1 & bit[j];
+    }
+    // Bit n of the word is set iff state n was reached from its odd
+    // predecessor.
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    for (int l = 0; l < W; ++l) {
+      lo |= dec_lo[l];
+      hi |= dec_hi[l];
+    }
+    survivors[t] = static_cast<std::uint64_t>(lo) |
+                   (static_cast<std::uint64_t>(hi) << kButterflies);
+    std::swap(cur, next);
+  }
+  std::memcpy(metric, cur, kStates * sizeof(double));
 }
 
-Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
-  // llr_full has 2 entries (A, B) per input bit; llr > 0 favors bit value 0.
-  assert(llr_full.size() >= 2 * n_out);
+using TrellisPass = void (*)(const double*, std::size_t, std::uint64_t*,
+                             double*);
 
-  static constexpr std::array<std::uint8_t, kStates / 2> sel =
-      butterfly_sel();
+// Trellis steps per depunctured chunk.
+constexpr std::size_t kChunkSteps = 512;
 
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::array<double, kStates> buf_a;
-  std::array<double, kStates> buf_b;
-  double* metric = buf_a.data();
-  double* next_metric = buf_b.data();
-  buf_a.fill(kNegInf);
-  metric[0] = 0.0;  // encoder starts in state 0
-  // Survivors, one bit per state per step: bit n of step t is set iff state
-  // n was reached from its odd predecessor. Every word is written before it
-  // is read, so the reused buffer needs no clearing.
+void trellis_pass_baseline(const double* llr, std::size_t n_steps,
+                           std::uint64_t* survivors, double* metric) {
+  trellis_pass<2>(llr, n_steps, survivors, metric);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void trellis_pass_avx2(
+    const double* llr, std::size_t n_steps, std::uint64_t* survivors,
+    double* metric) {
+  trellis_pass<4>(llr, n_steps, survivors, metric);
+}
+#endif
+
+TrellisPass pass_for(detail::TrellisBuild build) {
+  if (!detail::trellis_build_runs_here(build)) {
+    throw std::invalid_argument(
+        std::string("viterbi: trellis build ") +
+        detail::trellis_build_name(build) + " cannot run on this CPU");
+  }
+#if defined(__x86_64__)
+  if (build == detail::TrellisBuild::kAvx2) return trellis_pass_avx2;
+#endif
+  return trellis_pass_baseline;
+}
+
+Bits decode_soft(TrellisPass pass, const std::vector<double>& llr,
+                 std::size_t n_out, CodeRate rate) {
+  // Survivors, one 64-bit word per step, reused across calls. Every word
+  // is written before it is read, so the buffer needs no clearing.
   static thread_local std::vector<std::uint64_t> survivors;
   if (survivors.size() < n_out) survivors.resize(n_out);
-
-  for (std::size_t t = 0; t < n_out; ++t) {
-    const double la = llr_full[2 * t];
-    const double lb = llr_full[2 * t + 1];
-    // Correlation metric: +llr if the coded bit is 0, -llr if it is 1,
-    // indexed by the (a, b) output pair. bm[p ^ 3] == -bm[p] exactly.
-    const std::array<double, 4> bm = {la + lb, la - lb, -la + lb, -la - lb};
-    std::uint64_t dec = 0;
-    const auto butterfly = [&]<std::size_t k>() {
-      const double e = metric[2 * k];
-      const double o = metric[2 * k + 1];
-      const double b = bm[sel[k]];
-      // Add-compare-select. `a` is the even candidate unless it is -inf or
-      // NaN; the odd one wins only if strictly greater. So ties go to the
-      // even predecessor, a NaN candidate is never kept, and an unreached
-      // predecessor (metric -inf) never wins.
-      const double a0 = e + b > kNegInf ? e + b : kNegInf;
-      const bool d0 = o - b > a0;
-      next_metric[k] = d0 ? o - b : a0;
-      const double a1 = e - b > kNegInf ? e - b : kNegInf;
-      const bool d1 = o + b > a1;
-      next_metric[k + kStates / 2] = d1 ? o + b : a1;
-      dec |= (static_cast<std::uint64_t>(d0) << k) |
-             (static_cast<std::uint64_t>(d1) << (k + kStates / 2));
-    };
-    // All 32 butterflies, unrolled at compile time so that every sel[k]
-    // and every shift is a constant.
-    [&]<std::size_t... k>(std::index_sequence<k...>) {
-      (butterfly.template operator()<k>(), ...);
-    }(std::make_index_sequence<kStates / 2>{});
-    survivors[t] = dec;
-    std::swap(metric, next_metric);
+  std::array<double, kStates> metric{};
+  metric.fill(-std::numeric_limits<double>::infinity());
+  metric[0] = 0.0;  // encoder starts in state 0
+  // The trellis reads the depunctured stream a chunk at a time, so its
+  // buffer is a fixed 8 KiB whatever the frame length.
+  std::array<double, 2 * kChunkSteps> full{};
+  for (std::size_t t0 = 0; t0 < n_out; t0 += kChunkSteps) {
+    const std::size_t n = std::min(kChunkSteps, n_out - t0);
+    detail::depuncture(llr, t0, n, rate, full.data());
+    pass(full.data(), n, survivors.data() + t0, metric.data());
   }
 
   // Trace back from the best end state (frames are tail-terminated to state
@@ -237,8 +333,49 @@ Bits viterbi_decode(const Bits& coded, std::size_t n_out, CodeRate rate) {
 
 Bits viterbi_decode_soft(const std::vector<double>& llr, std::size_t n_out,
                          CodeRate rate) {
-  const std::vector<double> full = depuncture(llr, n_out, rate);
-  return viterbi_core(full, n_out);
+  // The widest build this CPU runs, picked once per process.
+  static const TrellisPass pass =
+      pass_for(detail::trellis_build_runs_here(detail::TrellisBuild::kAvx2)
+                   ? detail::TrellisBuild::kAvx2
+                   : detail::TrellisBuild::kBaseline);
+  return decode_soft(pass, llr, n_out, rate);
 }
+
+namespace detail {
+
+void depuncture(const std::vector<double>& llr, std::size_t first,
+                std::size_t n_steps, CodeRate rate, double* out) {
+  const Puncture p = puncture_for(rate);
+  // Transmitted bits before step `first`, and its phase in the pattern.
+  std::size_t src = coded_length(first, rate);
+  std::size_t phase = 2 * first % p.period;
+  for (std::size_t i = 0; i < 2 * n_steps; ++i) {
+    out[i] = 0.0;
+    if (p.keep[phase] != 0 && src < llr.size()) out[i] = llr[src++];
+    phase = phase + 1 == p.period ? 0 : phase + 1;
+  }
+}
+
+const char* trellis_build_name(TrellisBuild build) {
+  return build == TrellisBuild::kAvx2 ? "avx2" : "baseline";
+}
+
+bool trellis_build_runs_here(TrellisBuild build) {
+  if (build == TrellisBuild::kBaseline) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+#else
+  return false;
+#endif
+}
+
+Bits viterbi_decode_soft_with(TrellisBuild build,
+                              const std::vector<double>& llr,
+                              std::size_t n_out, CodeRate rate) {
+  return decode_soft(pass_for(build), llr, n_out, rate);
+}
+
+}  // namespace detail
 
 }  // namespace nplus::phy

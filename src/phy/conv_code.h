@@ -17,7 +17,9 @@
 // state-by-state push over the trellis, so decoded bits match it exactly.
 // Survivors are one 64-bit mask per step, bit n set iff state n came from
 // its odd predecessor; traceback reads the input bit as the state's top
-// bit.
+// bit. The butterflies of a step run as vector lanes, in a build picked
+// once per process for the CPU (phy/conv_code_internal.h); every build
+// decodes the same bits.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <utility>
 
 namespace nplus::phy {
 
@@ -21,9 +23,28 @@ std::vector<std::size_t> interleave_map(std::size_t n_cbps,
   return to;
 }
 
+namespace {
+
+// interleave_map(n_cbps, n_bpsc), built once per thread and key. Map nodes
+// never move, so a returned reference stays valid for the thread's life.
+const std::vector<std::size_t>& cached_map(std::size_t n_cbps,
+                                           std::size_t n_bpsc) {
+  static thread_local std::map<std::pair<std::size_t, std::size_t>,
+                               std::vector<std::size_t>>
+      maps;
+  const auto key = std::make_pair(n_cbps, n_bpsc);
+  auto it = maps.find(key);
+  if (it == maps.end()) {
+    it = maps.emplace(key, interleave_map(n_cbps, n_bpsc)).first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 Bits interleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
   assert(in.size() % n_cbps == 0);
-  const auto map = interleave_map(n_cbps, n_bpsc);
+  const auto& map = cached_map(n_cbps, n_bpsc);
   Bits out(in.size());
   for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
     const std::size_t base = sym * n_cbps;
@@ -34,7 +55,7 @@ Bits interleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
 
 Bits deinterleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
   assert(in.size() % n_cbps == 0);
-  const auto map = interleave_map(n_cbps, n_bpsc);
+  const auto& map = cached_map(n_cbps, n_bpsc);
   Bits out(in.size());
   for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
     const std::size_t base = sym * n_cbps;
@@ -47,7 +68,7 @@ std::vector<double> deinterleave_soft(const std::vector<double>& in,
                                       std::size_t n_cbps,
                                       std::size_t n_bpsc) {
   assert(in.size() % n_cbps == 0);
-  const auto map = interleave_map(n_cbps, n_bpsc);
+  const auto& map = cached_map(n_cbps, n_bpsc);
   std::vector<double> out(in.size());
   for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
     const std::size_t base = sym * n_cbps;

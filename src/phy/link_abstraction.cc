@@ -109,7 +109,10 @@ bool simulate_stream_delivery_mimo(
     std::size_t payload_bytes, const Mcs& mcs,
     const std::vector<StreamRxModel>& sc_models, util::Rng& rng) {
   if (sc_models.empty()) return false;
-  std::vector<std::uint8_t> payload(payload_bytes);
+  // Reused per thread: the payload and the per-symbol noise belief.
+  static thread_local std::vector<std::uint8_t> payload;
+  static thread_local std::vector<double> noise_var;
+  payload.resize(payload_bytes);
   for (auto& b : payload) {
     b = static_cast<std::uint8_t>(rng.uniform_int(256u));
   }
@@ -118,7 +121,7 @@ bool simulate_stream_delivery_mimo(
   const auto& own_points = constellation_points(mcs.modulation);
   const auto& qpsk_points = constellation_points(Modulation::kQpsk);
   const std::size_t n_sc = sc_models.size();
-  std::vector<double> noise_var(symbols.size());
+  noise_var.resize(symbols.size());
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     const StreamRxModel& m = sc_models[i % n_sc];
     if (std::norm(m.gain) <= 0.0) return false;

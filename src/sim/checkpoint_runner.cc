@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -197,7 +198,10 @@ CheckpointedRunner::CheckpointedRunner(std::vector<SweepItem> items,
                                        std::uint64_t seed,
                                        RunnerConfig config)
     : items_(std::move(items)), seed_(seed), cfg_(std::move(config)) {
-  if (cfg_.checkpoint_every == 0) cfg_.checkpoint_every = 1;
+  if (cfg_.checkpoint_every == 0) {
+    throw std::invalid_argument(
+        "CheckpointedRunner: checkpoint_every must be >= 1");
+  }
   if (cfg_.supervisor.stream_label.empty()) {
     cfg_.supervisor.stream_label = "seed " + std::to_string(seed_);
   }

@@ -50,7 +50,8 @@ struct RunnerConfig {
 
   // Checkpoint file path; empty disables checkpointing entirely.
   std::string checkpoint_path;
-  // Completed items between checkpoint writes (>= 1). The final state is
+  // Completed items between checkpoint writes (>= 1; 0 makes the
+  // constructor throw std::invalid_argument). The final state is
   // always written once the sweep finishes, whatever the cadence.
   std::size_t checkpoint_every = 4;
   // Load checkpoint_path before running and skip its completed items. The

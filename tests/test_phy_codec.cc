@@ -1,7 +1,8 @@
 // Tests for the bit-level PHY: CRC, scrambler, convolutional code +
-// Viterbi (all rates, error correction, bit-identity with the push-form
-// reference decoder), interleaver, constellations, MCS tables and
-// effective-SNR rate selection.
+// Viterbi (all rates, error correction, bit-identity of every trellis build
+// with the push-form reference decoder, and of the encoder and depuncturer
+// with their pattern-walk references), interleaver, constellations, MCS
+// tables and effective-SNR rate selection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "phy/constellation.h"
 #include "phy/conv_code.h"
+#include "phy/conv_code_internal.h"
 #include "phy/crc.h"
 #include "phy/esnr.h"
 #include "phy/frame.h"
@@ -147,7 +151,9 @@ INSTANTIATE_TEST_SUITE_P(Rates, ConvCodeSuite,
 // The push-form Viterbi decoder this library shipped before the butterfly
 // rewrite, kept verbatim as the reference the rewrite must match bit for
 // bit. Only the constants it reads and the depuncturing it is fed through
-// are restated around it.
+// are restated around it. The encoder and the depuncturer are the
+// pattern-walk forms (a std::vector<bool> pattern indexed modulo its
+// length for every bit) that the index-based ones must match.
 namespace push_form {
 
 constexpr unsigned kG0 = 0133;
@@ -180,6 +186,24 @@ const Puncture& puncture_for(CodeRate r) {
       return p34;
   }
   return p12;
+}
+
+Bits conv_encode(const Bits& data, CodeRate rate) {
+  const auto& p = puncture_for(rate);
+  Bits out;
+  unsigned state = 0;
+  std::size_t mother_idx = 0;
+  for (std::uint8_t bit : data) {
+    const unsigned reg = (static_cast<unsigned>(bit & 1u) << 6) | state;
+    const std::uint8_t a = parity7(reg & kG0);
+    const std::uint8_t b = parity7(reg & kG1);
+    if (p.pattern[mother_idx % p.pattern.size()]) out.push_back(a);
+    ++mother_idx;
+    if (p.pattern[mother_idx % p.pattern.size()]) out.push_back(b);
+    ++mother_idx;
+    state = reg >> 1;
+  }
+  return out;
 }
 
 // Depunctures a soft stream (LLRs) back to the full-rate 2*n_out-pair stream,
@@ -291,12 +315,13 @@ Bits viterbi_core(const std::vector<double>& llr_full, std::size_t n_out) {
 
 }  // namespace push_form
 
-// Diff-tests viterbi_decode_soft against the push-form reference over every
-// rate, lengths around the 64-state word boundary and a full 1500-byte
-// frame, and LLR families that stress the add-compare-select: noisy
-// codewords, integer LLRs (many tied metrics), all-zero input, sprinkled
-// +-inf and NaN, and magnitudes near overflow.
-TEST(ViterbiDifferential, MatchesPushFormReference) {
+// Diff-tests `decode` (viterbi_decode_soft or one build of it) against the
+// push-form reference over every rate, lengths around the 64-state word
+// boundary and a full 1500-byte frame, and LLR families that stress the
+// add-compare-select: noisy codewords, integer LLRs (many tied metrics),
+// all-zero input, sprinkled +-inf and NaN, and magnitudes near overflow.
+template <class Decode>
+void expect_matches_push_form(const Decode& decode) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<std::size_t> lengths = {1, 2, 6, 7, 63, 64, 65, 300, 12006};
   enum Family { kGaussian, kInteger, kZero, kInfs, kNans, kHuge, kFamilies };
@@ -340,7 +365,7 @@ TEST(ViterbiDifferential, MatchesPushFormReference) {
           const Bits want =
               push_form::viterbi_core(push_form::depuncture(llr, n_out, rate),
                                       n_out);
-          ASSERT_EQ(viterbi_decode_soft(llr, n_out, rate), want)
+          ASSERT_EQ(decode(llr, n_out, rate), want)
               << "rate " << code_rate_num(rate) << "/" << code_rate_den(rate)
               << " n_out " << n_out << " family " << family << " seed "
               << seed;
@@ -350,6 +375,98 @@ TEST(ViterbiDifferential, MatchesPushFormReference) {
     }
   }
   EXPECT_GT(cases, 0);
+}
+
+// The public decoder, through whichever build this process dispatched to.
+TEST(ViterbiDispatch, MatchesPushFormReference) {
+  expect_matches_push_form(
+      [](const std::vector<double>& llr, std::size_t n_out, CodeRate rate) {
+        return viterbi_decode_soft(llr, n_out, rate);
+      });
+}
+
+// Each build of the trellis, called directly: a build the dispatcher does
+// not pick on this host is still diff-tested whenever the CPU can run it.
+class ViterbiDifferential
+    : public ::testing::TestWithParam<detail::TrellisBuild> {};
+
+TEST_P(ViterbiDifferential, MatchesPushFormReference) {
+  const detail::TrellisBuild build = GetParam();
+  if (!detail::trellis_build_runs_here(build)) {
+    GTEST_SKIP() << "this CPU cannot run the "
+                 << detail::trellis_build_name(build)
+                 << " trellis build (no AVX2), so it is NOT diff-tested here";
+  }
+  expect_matches_push_form([build](const std::vector<double>& llr,
+                                   std::size_t n_out, CodeRate rate) {
+    return detail::viterbi_decode_soft_with(build, llr, n_out, rate);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, ViterbiDifferential,
+    ::testing::Values(detail::TrellisBuild::kBaseline,
+                      detail::TrellisBuild::kAvx2),
+    [](const ::testing::TestParamInfo<detail::TrellisBuild>& build) {
+      return std::string(detail::trellis_build_name(build.param));
+    });
+
+// Input lengths for the encoder and depuncturer diffs: every length through
+// several whole puncture periods, so each rate ends on each phase
+// (including a last pair whose second or both bits are punctured), and a
+// full 1500-byte frame.
+std::vector<std::size_t> puncture_test_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(12006);
+  return lengths;
+}
+
+TEST(PunctureDifferential, EncoderMatchesPatternWalk) {
+  util::Rng rng(108);
+  for (const CodeRate rate :
+       {CodeRate::kRate1_2, CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (const std::size_t n_in : puncture_test_lengths()) {
+      const Bits data = random_bits(n_in, rng);
+      const Bits want = push_form::conv_encode(data, rate);
+      ASSERT_EQ(conv_encode(data, rate), want)
+          << "rate " << code_rate_num(rate) << "/" << code_rate_den(rate)
+          << " n_in " << n_in;
+      ASSERT_EQ(coded_length(n_in, rate), want.size());
+    }
+  }
+}
+
+TEST(PunctureDifferential, DepunctureMatchesPatternWalk) {
+  // LLR vectors shorter than the coded length (a truncated stream: the
+  // missing positions are erasures), exact, and longer (the excess is
+  // ignored). The stream is written whole and in two pieces split at every
+  // phase, as the decoder's chunks split it; `out` starts dirty.
+  util::Rng rng(109);
+  for (const CodeRate rate :
+       {CodeRate::kRate1_2, CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (const std::size_t n_out : puncture_test_lengths()) {
+      const std::size_t n_coded = coded_length(n_out, rate);
+      for (const std::size_t n_llr :
+           {std::size_t{0}, n_coded / 2, n_coded - 1, n_coded, n_coded + 3}) {
+        std::vector<double> llr(n_llr);
+        for (double& v : llr) v = rng.gaussian();
+        const std::vector<double> want = push_form::depuncture(llr, n_out, rate);
+        for (const std::size_t split :
+             {std::size_t{0}, std::size_t{1}, std::size_t{2}, n_out / 2,
+              n_out - 1}) {
+          if (split > n_out) continue;
+          std::vector<double> out(2 * n_out, 5.0);
+          detail::depuncture(llr, 0, split, rate, out.data());
+          detail::depuncture(llr, split, n_out - split, rate,
+                             out.data() + 2 * split);
+          ASSERT_EQ(out, want)
+              << "rate " << code_rate_num(rate) << "/" << code_rate_den(rate)
+              << " n_out " << n_out << " llr " << n_llr << " split " << split;
+        }
+      }
+    }
+  }
 }
 
 TEST(ConvCode, RateValues) {
@@ -406,6 +523,33 @@ INSTANTIATE_TEST_SUITE_P(Configs, InterleaverSuite,
                                            InterleaverCase{96, 2},
                                            InterleaverCase{192, 4},
                                            InterleaverCase{288, 6}));
+
+TEST(Interleaver, StreamFormsApplyTheMapOfTheirConfig) {
+  // The stream forms reuse one map per (n_cbps, n_bpsc). Configs alternate,
+  // twice over, so a map reused under the wrong key would show.
+  util::Rng rng(11);
+  const std::array<InterleaverCase, 4> configs = {
+      InterleaverCase{48, 1}, InterleaverCase{96, 2}, InterleaverCase{192, 4},
+      InterleaverCase{288, 6}};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [n_cbps, n_bpsc] : configs) {
+      const auto map = interleave_map(n_cbps, n_bpsc);
+      const Bits data = random_bits(2 * n_cbps, rng);
+      const std::vector<double> soft(data.begin(), data.end());
+      const Bits inter = interleave(data, n_cbps, n_bpsc);
+      const Bits deinter = deinterleave(data, n_cbps, n_bpsc);
+      const std::vector<double> deinter_soft =
+          deinterleave_soft(soft, n_cbps, n_bpsc);
+      for (std::size_t base = 0; base < data.size(); base += n_cbps) {
+        for (std::size_t k = 0; k < n_cbps; ++k) {
+          ASSERT_EQ(inter[base + map[k]], data[base + k]);
+          ASSERT_EQ(deinter[base + k], data[base + map[k]]);
+          ASSERT_EQ(deinter_soft[base + k], soft[base + map[k]]);
+        }
+      }
+    }
+  }
+}
 
 class ConstellationSuite : public ::testing::TestWithParam<Modulation> {};
 

@@ -238,6 +238,7 @@ TEST(Robustness, InterferencePowerSweepDegradesGracefully) {
 #include <thread>
 
 #include <limits>
+#include <stdexcept>
 
 #include "sim/audit.h"
 #include "sim/checkpoint_runner.h"
@@ -756,6 +757,17 @@ TEST(CheckpointRunner, MismatchedSweepIsRejected) {
   cfg.resume = true;
   CheckpointedRunner runner(items, 56, cfg);
   EXPECT_THROW(runner.run(), util::CheckpointError);
+}
+
+TEST(CheckpointRunner, ZeroCheckpointCadenceIsRejected) {
+  // A cadence of 0 has no meaning; the runner refuses it rather than
+  // quietly writing after every item.
+  const std::vector<SweepItem> items(1, small_item());
+  RunnerConfig cfg;
+  cfg.supervisor.n_threads = 1;
+  cfg.checkpoint_every = 0;
+  EXPECT_THROW(CheckpointedRunner runner(items, 3, cfg),
+               std::invalid_argument);
 }
 
 TEST(RunnerSupervised, FailedPlacementsKeepZeroedSamples) {
