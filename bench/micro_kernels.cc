@@ -499,13 +499,15 @@ void BM_ViterbiDecodeSoft1500B(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecodeSoft1500B)->Unit(benchmark::kMicrosecond);
 
-// One 1500-byte 64-QAM 3/4 stream through the whole full-PHY scorer:
-// payload draw, encode, per-symbol observation model (one sibling stream,
-// one residual interferer, noise at about 25 dB), soft demap, Viterbi and
-// CRC. Fixed models on 48 subcarriers, so every iteration does the same
-// work.
+// One 1500-byte stream through the whole full-PHY scorer: payload draw,
+// encode, per-symbol observation model (one sibling stream, one residual
+// interferer, noise at about 25 dB), soft demap, Viterbi and CRC. Fixed
+// models on 48 subcarriers, so every iteration does the same work. The
+// argument is the MCS: BPSK 1/2, 16-QAM 1/2 and 64-QAM 3/4 span the mix of
+// the fullphy_cell workload, where about a quarter of the symbols are
+// 64-QAM, two fifths 16-QAM and the rest BPSK or QPSK.
 void BM_StreamDeliveryFullPhy(benchmark::State& state) {
-  const phy::Mcs& mcs = phy::mcs_by_index(7);
+  const phy::Mcs& mcs = phy::mcs_by_index(static_cast<int>(state.range(0)));
   std::vector<phy::StreamRxModel> models(48);
   for (std::size_t k = 0; k < models.size(); ++k) {
     const double phase = 0.13 * static_cast<double>(k);
@@ -527,7 +529,11 @@ void BM_StreamDeliveryFullPhy(benchmark::State& state) {
   state.counters["ok_frac"] = benchmark::Counter(
       static_cast<double>(delivered), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_StreamDeliveryFullPhy)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StreamDeliveryFullPhy)
+    ->Arg(0)
+    ->Arg(4)
+    ->Arg(7)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DemapSoftQam64_1500B(benchmark::State& state) {
   const Qam64Frame& f = qam64_frame();
@@ -538,17 +544,41 @@ void BM_DemapSoftQam64_1500B(benchmark::State& state) {
 }
 BENCHMARK(BM_DemapSoftQam64_1500B)->Unit(benchmark::kMicrosecond);
 
-void BM_EncodePayload1500B(benchmark::State& state) {
+// The transmit and receive halves of the codec on one 1500-byte 16-QAM 3/4
+// frame: encode_payload, and decode_payload of its symbols received at
+// about 25 dB (demap, deinterleave, Viterbi, descramble, CRC).
+const phy::Mcs& payload_bench_mcs() { return phy::mcs_by_index(5); }
+
+std::vector<std::uint8_t> payload_bench_bytes() {
   util::Rng rng(7);
   std::vector<std::uint8_t> payload(1500);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
-  const phy::Mcs& mcs = phy::mcs_by_index(5);
+  return payload;
+}
+
+void BM_EncodePayload1500B(benchmark::State& state) {
+  const std::vector<std::uint8_t> payload = payload_bench_bytes();
   for (auto _ : state) {
-    auto syms = phy::encode_payload(payload, mcs);
+    auto syms = phy::encode_payload(payload, payload_bench_mcs());
     benchmark::DoNotOptimize(syms);
   }
 }
 BENCHMARK(BM_EncodePayload1500B)->Unit(benchmark::kMicrosecond);
+
+void BM_DecodePayload1500B(benchmark::State& state) {
+  const std::vector<std::uint8_t> payload = payload_bench_bytes();
+  auto syms = phy::encode_payload(payload, payload_bench_mcs());
+  util::Rng rng(11);
+  for (auto& y : syms) y += rng.cgaussian(3e-3);
+  const std::vector<double> noise_var(syms.size(), 3e-3);
+  for (auto _ : state) {
+    auto out = phy::decode_payload(syms, noise_var, payload.size(),
+                                   payload_bench_mcs());
+    if (!out.has_value()) state.SkipWithError("frame did not decode");
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_DecodePayload1500B)->Unit(benchmark::kMicrosecond);
 
 void BM_CompressAlignment(benchmark::State& state) {
   // Full 52-subcarrier differential compression of a 2x1 alignment space.

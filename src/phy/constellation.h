@@ -38,6 +38,18 @@ std::vector<double> demap_soft(const std::vector<cdouble>& symbols,
                                const std::vector<double>& noise_var,
                                Modulation m);
 
+// demap_soft with each OFDM symbol's LLRs deinterleaved on the way out, the
+// receive path's one pass from symbols to the decoder's input: fills `out`
+// with the first out.size() entries of
+// deinterleave(demap_soft(symbols, noise_var, m)), where the 802.11a
+// deinterleaver (interleaver.h) permutes each block of n_cbps LLRs.
+// out.size() must be a multiple of n_cbps, n_cbps one of
+// bits_per_symbol(m), and `symbols` must cover out.size() LLRs.
+void demap_soft_deinterleaved(const std::vector<cdouble>& symbols,
+                              const std::vector<double>& noise_var,
+                              Modulation m, std::size_t n_cbps,
+                              std::vector<double>& out);
+
 // Uncoded bit-error probability of modulation `m` at the given per-symbol
 // SNR (linear). Standard Gray-coded AWGN approximations; this is the kernel
 // of the effective-SNR (Halperin et al. [16]) bitrate metric in esnr.h.

@@ -65,6 +65,12 @@ constexpr Puncture puncture_for(CodeRate r) {
   return {{1, 1}, 2};
 }
 
+constexpr std::size_t kept_per_period(const Puncture& p) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < p.period; ++i) kept += p.keep[i];
+  return kept;
+}
+
 }  // namespace
 
 int code_rate_num(CodeRate r) {
@@ -98,28 +104,71 @@ double code_rate_value(CodeRate r) {
 std::size_t coded_length(std::size_t n_in, CodeRate rate) {
   // Mother-code output length 2*n_in, walked against the puncture pattern.
   const Puncture p = puncture_for(rate);
-  std::size_t kept_per_period = 0;
-  for (std::size_t i = 0; i < p.period; ++i) kept_per_period += p.keep[i];
   const std::size_t total = 2 * n_in;
-  std::size_t kept = total / p.period * kept_per_period;
+  std::size_t kept = total / p.period * kept_per_period(p);
   for (std::size_t i = 0; i < total % p.period; ++i) kept += p.keep[i];
   return kept;
 }
 
-Bits conv_encode(const Bits& data, CodeRate rate) {
-  const Puncture p = puncture_for(rate);
-  Bits out(coded_length(data.size(), rate));
-  std::size_t n = 0;
-  std::size_t phase = 0;
-  unsigned state = 0;  // most recent bit in the LSB of the shifted-in side
-  for (std::uint8_t bit : data) {
-    const unsigned reg = (static_cast<unsigned>(bit & 1u) << 6) | state;
-    if (p.keep[phase] != 0) out[n++] = kPairs[reg] >> 1;
-    if (p.keep[phase + 1] != 0) out[n++] = kPairs[reg] & 1u;
+namespace {
+
+// ConvEncoder::encode for one rate. Whole puncture periods run with the
+// pattern unrolled; only a block that starts or stops mid-period walks the
+// phase one input bit at a time.
+template <CodeRate R>
+std::size_t encode_rate(const std::uint8_t* data, std::size_t n,
+                        std::uint8_t* out, unsigned& state_io,
+                        std::size_t& phase_io) {
+  constexpr Puncture p = puncture_for(R);
+  // Locals, not the caller's: stores through `out` may alias them. The
+  // most recent bit sits in the LSB of the shifted-in side of `state`.
+  unsigned state = state_io;
+  std::size_t phase = phase_io;
+  std::size_t i = 0;
+  std::size_t k = 0;
+  const auto walk_one = [&] {
+    const unsigned reg = (static_cast<unsigned>(data[i++] & 1u) << 6) | state;
+    if (p.keep[phase] != 0) out[k++] = kPairs[reg] >> 1;
+    if (p.keep[phase + 1] != 0) out[k++] = kPairs[reg] & 1u;
     phase = phase + 2 == p.period ? 0 : phase + 2;
     state = reg >> 1;
+  };
+  while (i < n && phase != 0) walk_one();
+  while (n - i >= p.period / 2) {
+    for (std::size_t j = 0; j < p.period; j += 2) {
+      const unsigned reg = (static_cast<unsigned>(data[i++] & 1u) << 6) | state;
+      if (p.keep[j] != 0) out[k++] = kPairs[reg] >> 1;
+      if (p.keep[j + 1] != 0) out[k++] = kPairs[reg] & 1u;
+      state = reg >> 1;
+    }
   }
+  while (i < n) walk_one();
+  state_io = state;
+  phase_io = phase;
+  return k;
+}
+
+}  // namespace
+
+std::size_t ConvEncoder::encode(const std::uint8_t* data, std::size_t n,
+                                std::uint8_t* out) {
+  switch (rate_) {
+    case CodeRate::kRate1_2:
+      return encode_rate<CodeRate::kRate1_2>(data, n, out, state_, phase_);
+    case CodeRate::kRate2_3:
+      return encode_rate<CodeRate::kRate2_3>(data, n, out, state_, phase_);
+    case CodeRate::kRate3_4:
+      return encode_rate<CodeRate::kRate3_4>(data, n, out, state_, phase_);
+  }
+  return 0;
+}
+
+Bits conv_encode(const Bits& data, CodeRate rate) {
+  Bits out(coded_length(data.size(), rate));
+  ConvEncoder encoder(rate);
+  const std::size_t n = encoder.encode(data.data(), data.size(), out.data());
   assert(n == out.size());
+  (void)n;
   return out;
 }
 
@@ -138,6 +187,11 @@ template <>
 struct Lanes<4> {
   typedef double Vec __attribute__((vector_size(32)));
   typedef std::int64_t Mask __attribute__((vector_size(32)));
+};
+template <>
+struct Lanes<8> {
+  typedef double Vec __attribute__((vector_size(64)));
+  typedef std::int64_t Mask __attribute__((vector_size(64)));
 };
 
 // The forward pass of the trellis over n_steps steps of `llr` (2 entries
@@ -158,9 +212,26 @@ struct Lanes<4> {
 // -inf or NaN, and the odd one wins only if strictly greater. So ties go to
 // the even predecessor, an unreached predecessor (-inf) never wins, and a
 // NaN is never stored. The one cross-lane operation is the integer OR that
-// folds the decision masks into the step's survivor word.
+// folds the decision masks into the step's survivor word: each lane ANDs
+// its two decisions with its state bit, the blocks OR into one vector for
+// states 0..31 and one for 32..63, and fold_or halves their merge to one
+// word.
 //
 // Always inlined, so each caller compiles the body for its own target.
+template <int W>
+[[gnu::always_inline]] inline std::int64_t fold_or(
+    const typename Lanes<W>::Mask& v) {
+  if constexpr (W == 2) {
+    return v[0] | v[1];
+  } else if constexpr (W == 4) {
+    return fold_or<2>(__builtin_shufflevector(v, v, 0, 1) |
+                      __builtin_shufflevector(v, v, 2, 3));
+  } else {
+    return fold_or<4>(__builtin_shufflevector(v, v, 0, 1, 2, 3) |
+                      __builtin_shufflevector(v, v, 4, 5, 6, 7));
+  }
+}
+
 template <int W>
 [[gnu::always_inline]] inline void trellis_pass(const double* llr,
                                                 std::size_t n_steps,
@@ -216,9 +287,12 @@ template <int W>
       if constexpr (W == 2) {
         e = __builtin_shufflevector(v0, v1, 0, 2);
         o = __builtin_shufflevector(v0, v1, 1, 3);
-      } else {
+      } else if constexpr (W == 4) {
         e = __builtin_shufflevector(v0, v1, 0, 2, 4, 6);
         o = __builtin_shufflevector(v0, v1, 1, 3, 5, 7);
+      } else {
+        e = __builtin_shufflevector(v0, v1, 0, 2, 4, 6, 8, 10, 12, 14);
+        o = __builtin_shufflevector(v0, v1, 1, 3, 5, 7, 9, 11, 13, 15);
       }
       Vec b = use_diff[j] ? diff : sum;
       b = negate[j] ? -b : b;
@@ -237,17 +311,43 @@ template <int W>
     }
     // Bit n of the word is set iff state n was reached from its odd
     // predecessor.
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    for (int l = 0; l < W; ++l) {
-      lo |= dec_lo[l];
-      hi |= dec_hi[l];
-    }
-    survivors[t] = static_cast<std::uint64_t>(lo) |
-                   (static_cast<std::uint64_t>(hi) << kButterflies);
+    survivors[t] = static_cast<std::uint64_t>(
+        fold_or<W>(dec_lo | (dec_hi << kButterflies)));
     std::swap(cur, next);
   }
   std::memcpy(metric, cur, kStates * sizeof(double));
+}
+
+// detail::depuncture for one rate. Whole puncture periods are copied with
+// the pattern unrolled while the source covers them; only the ragged ends
+// (a chunk that starts or stops mid-period, or runs past the end of `llr`)
+// walk the pattern one entry at a time with the phase and bound tests.
+template <CodeRate R>
+void depuncture_rate(const std::vector<double>& llr, std::size_t first,
+                     std::size_t n_steps, double* out) {
+  constexpr Puncture p = puncture_for(R);
+  constexpr std::size_t kKept = kept_per_period(p);
+  // Transmitted bits before step `first`, and its phase in the pattern.
+  std::size_t src = coded_length(first, R);
+  std::size_t phase = 2 * first % p.period;
+  const std::size_t n = 2 * n_steps;
+  std::size_t i = 0;
+  const auto walk_one = [&] {
+    out[i] = 0.0;
+    if (p.keep[phase] != 0 && src < llr.size()) out[i] = llr[src++];
+    phase = phase + 1 == p.period ? 0 : phase + 1;
+    ++i;
+  };
+  while (i < n && phase != 0) walk_one();
+  while (n - i >= p.period && src + kKept <= llr.size()) {
+    std::size_t s = src;
+    for (std::size_t j = 0; j < p.period; ++j) {
+      out[i + j] = p.keep[j] != 0 ? llr[s++] : 0.0;
+    }
+    i += p.period;
+    src += kKept;
+  }
+  while (i < n) walk_one();
 }
 
 using TrellisPass = void (*)(const double*, std::size_t, std::uint64_t*,
@@ -267,6 +367,12 @@ __attribute__((target("avx2"))) void trellis_pass_avx2(
     double* metric) {
   trellis_pass<4>(llr, n_steps, survivors, metric);
 }
+
+__attribute__((target("avx512f"))) void trellis_pass_avx512(
+    const double* llr, std::size_t n_steps, std::uint64_t* survivors,
+    double* metric) {
+  trellis_pass<8>(llr, n_steps, survivors, metric);
+}
 #endif
 
 TrellisPass pass_for(detail::TrellisBuild build) {
@@ -276,6 +382,7 @@ TrellisPass pass_for(detail::TrellisBuild build) {
         detail::trellis_build_name(build) + " cannot run on this CPU");
   }
 #if defined(__x86_64__)
+  if (build == detail::TrellisBuild::kAvx512) return trellis_pass_avx512;
   if (build == detail::TrellisBuild::kAvx2) return trellis_pass_avx2;
 #endif
   return trellis_pass_baseline;
@@ -334,10 +441,13 @@ Bits viterbi_decode(const Bits& coded, std::size_t n_out, CodeRate rate) {
 Bits viterbi_decode_soft(const std::vector<double>& llr, std::size_t n_out,
                          CodeRate rate) {
   // The widest build this CPU runs, picked once per process.
-  static const TrellisPass pass =
-      pass_for(detail::trellis_build_runs_here(detail::TrellisBuild::kAvx2)
-                   ? detail::TrellisBuild::kAvx2
-                   : detail::TrellisBuild::kBaseline);
+  static const TrellisPass pass = [] {
+    for (const detail::TrellisBuild build :
+         {detail::TrellisBuild::kAvx512, detail::TrellisBuild::kAvx2}) {
+      if (detail::trellis_build_runs_here(build)) return pass_for(build);
+    }
+    return pass_for(detail::TrellisBuild::kBaseline);
+  }();
   return decode_soft(pass, llr, n_out, rate);
 }
 
@@ -345,25 +455,35 @@ namespace detail {
 
 void depuncture(const std::vector<double>& llr, std::size_t first,
                 std::size_t n_steps, CodeRate rate, double* out) {
-  const Puncture p = puncture_for(rate);
-  // Transmitted bits before step `first`, and its phase in the pattern.
-  std::size_t src = coded_length(first, rate);
-  std::size_t phase = 2 * first % p.period;
-  for (std::size_t i = 0; i < 2 * n_steps; ++i) {
-    out[i] = 0.0;
-    if (p.keep[phase] != 0 && src < llr.size()) out[i] = llr[src++];
-    phase = phase + 1 == p.period ? 0 : phase + 1;
+  switch (rate) {
+    case CodeRate::kRate1_2:
+      return depuncture_rate<CodeRate::kRate1_2>(llr, first, n_steps, out);
+    case CodeRate::kRate2_3:
+      return depuncture_rate<CodeRate::kRate2_3>(llr, first, n_steps, out);
+    case CodeRate::kRate3_4:
+      return depuncture_rate<CodeRate::kRate3_4>(llr, first, n_steps, out);
   }
 }
 
 const char* trellis_build_name(TrellisBuild build) {
-  return build == TrellisBuild::kAvx2 ? "avx2" : "baseline";
+  switch (build) {
+    case TrellisBuild::kBaseline:
+      return "baseline";
+    case TrellisBuild::kAvx2:
+      return "avx2";
+    case TrellisBuild::kAvx512:
+      return "avx512";
+  }
+  return "?";
 }
 
 bool trellis_build_runs_here(TrellisBuild build) {
   if (build == TrellisBuild::kBaseline) return true;
 #if defined(__x86_64__)
   __builtin_cpu_init();
+  if (build == TrellisBuild::kAvx512) {
+    return __builtin_cpu_supports("avx512f") != 0;
+  }
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;

@@ -41,6 +41,24 @@ double code_rate_value(CodeRate r);
 // frame.cc handles that). Output: coded bits after puncturing.
 Bits conv_encode(const Bits& data, CodeRate rate);
 
+// conv_encode one block at a time: each encode() continues the shift
+// register and the puncture phase where the previous call stopped, so a
+// stream encoded in pieces gives conv_encode's output for the whole.
+class ConvEncoder {
+ public:
+  explicit ConvEncoder(CodeRate rate) : rate_(rate) {}
+
+  // Encodes data[0 .. n) (one bit per byte) into `out`; returns the number
+  // of coded bits written.
+  std::size_t encode(const std::uint8_t* data, std::size_t n,
+                     std::uint8_t* out);
+
+ private:
+  CodeRate rate_;
+  unsigned state_ = 0;
+  std::size_t phase_ = 0;
+};
+
 // Number of coded bits produced for n_in input bits at `rate`.
 std::size_t coded_length(std::size_t n_in, CodeRate rate);
 

@@ -1,7 +1,11 @@
 #include "phy/frame.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 
+#include "phy/constellation.h"
+#include "phy/conv_code.h"
 #include "phy/crc.h"
 #include "phy/interleaver.h"
 
@@ -49,31 +53,27 @@ std::optional<FrameHeader> FrameHeader::parse(
   return h;
 }
 
-Bits bytes_to_bits(const std::vector<std::uint8_t>& bytes) {
-  Bits bits;
-  bits.reserve(bytes.size() * 8);
-  for (std::uint8_t b : bytes) {
-    for (int i = 7; i >= 0; --i) {
-      bits.push_back(static_cast<std::uint8_t>((b >> i) & 1u));
-    }
-  }
-  return bits;
-}
+namespace {
 
-std::vector<std::uint8_t> bits_to_bytes(const Bits& bits) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(bits.size() / 8);
-  for (std::size_t i = 0; i + 8 <= bits.size(); i += 8) {
-    std::uint8_t b = 0;
-    for (std::size_t j = 0; j < 8; ++j) {
-      b = static_cast<std::uint8_t>((b << 1) | (bits[i + j] & 1u));
+// The scrambler sequence at the 802.11a seed, packed MSB first: entry q
+// holds stream bits 8q .. 8q+7. 127 bytes are 8 whole periods, so stream
+// byte q scrambles with entry q % 127. Built from one period of the
+// register; the transmit and receive paths share it.
+const std::array<std::uint8_t, kScramblerPeriod> kScramblerBytes = [] {
+  const auto period = scrambler_period();
+  std::array<std::uint8_t, kScramblerPeriod> bytes{};
+  for (std::size_t q = 0; q < kScramblerPeriod; ++q) {
+    unsigned v = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      v = (v << 1) | period[(8 * q + k) % kScramblerPeriod];
     }
-    bytes.push_back(b);
+    bytes[q] = static_cast<std::uint8_t>(v);
   }
   return bytes;
-}
+}();
 
-namespace {
+// The data field's 16-bit service field, in bytes.
+constexpr std::size_t kServiceBytes = 2;
 
 // Total (pre-coding) bit count: service + payload + CRC32 + tail, padded to
 // a whole OFDM symbol at the MCS's data rate.
@@ -92,31 +92,53 @@ std::size_t encoded_symbol_count(std::size_t payload_bytes, const Mcs& mcs) {
 
 std::vector<cdouble> encode_payload(const std::vector<std::uint8_t>& payload,
                                     const Mcs& mcs) {
-  // Append FCS.
-  std::vector<std::uint8_t> with_crc = payload;
+  // The scrambled data field, packed: the service field (zeros), payload
+  // and FCS bytes, 6 tail bits and zero pad to a whole symbol.
+  const std::size_t n_sym = encoded_symbol_count(payload.size(), mcs);
+  std::vector<std::uint8_t> field((n_sym * mcs.n_dbps + 7) / 8, 0);
+  std::copy(payload.begin(), payload.end(), field.begin() + kServiceBytes);
   const std::uint32_t fcs = crc32(payload);
-  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 24));
-  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 16));
-  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 8));
-  with_crc.push_back(static_cast<std::uint8_t>(fcs));
-
-  // Service field (16 zero bits) + data + tail + pad.
-  Bits bits(16, 0);
-  const Bits data_bits = bytes_to_bits(with_crc);
-  bits.insert(bits.end(), data_bits.begin(), data_bits.end());
-  const std::size_t total = padded_data_bits(payload.size(), mcs);
-  bits.resize(total, 0);
-
-  // Scramble everything, then force the 6 tail bits back to zero so the
+  const std::size_t tail_byte = kServiceBytes + payload.size() + 4;
+  for (std::size_t b = 0; b < 4; ++b) {
+    field[tail_byte - 4 + b] = static_cast<std::uint8_t>(fcs >> (24 - 8 * b));
+  }
+  for (std::size_t q = 0, phase = 0; q < field.size(); ++q) {
+    field[q] ^= kScramblerBytes[phase];
+    phase = phase + 1 == kScramblerPeriod ? 0 : phase + 1;
+  }
+  // The tail, the top 6 bits of the byte after the FCS, stays zero so the
   // Viterbi trellis terminates in state 0 (as 802.11a does).
-  Bits scrambled = scramble(bits);
-  const std::size_t tail_start = 16 + data_bits.size();
-  for (std::size_t i = 0; i < 6; ++i) scrambled[tail_start + i] = 0;
+  field[tail_byte] &= 0x03;
 
-  const Bits coded = conv_encode(scrambled, mcs.code_rate);
-  const Bits inter =
-      interleave(coded, mcs.n_cbps, bits_per_symbol(mcs.modulation));
-  return map_bits(inter, mcs.modulation);
+  // One OFDM symbol at a time: unpack its data bits, encode them, and map
+  // the interleaved coded bits straight to constellation points.
+  const std::size_t bps = bits_per_symbol(mcs.modulation);
+  const std::vector<std::size_t>& from = deinterleave_map(mcs.n_cbps, bps);
+  const std::vector<cdouble>& pts = constellation_points(mcs.modulation);
+  std::vector<cdouble> out;
+  out.reserve(n_sym * (mcs.n_cbps / bps));
+  Bits data(mcs.n_dbps);
+  Bits coded(mcs.n_cbps);
+  ConvEncoder encoder(mcs.code_rate);
+  std::size_t i = 0;  // bit index in the data field
+  for (std::size_t sym = 0; sym < n_sym; ++sym) {
+    for (std::uint8_t& bit : data) {
+      bit = static_cast<std::uint8_t>((field[i / 8] >> (7 - i % 8)) & 1u);
+      ++i;
+    }
+    const std::size_t n =
+        encoder.encode(data.data(), data.size(), coded.data());
+    assert(n == coded.size());
+    (void)n;
+    for (std::size_t j = 0; j < coded.size(); j += bps) {
+      std::size_t word = 0;
+      for (std::size_t b = 0; b < bps; ++b) {
+        word = (word << 1) | coded[from[j + b]];
+      }
+      out.push_back(pts[word]);
+    }
+  }
+  return out;
 }
 
 std::optional<std::vector<std::uint8_t>> decode_payload(
@@ -124,35 +146,45 @@ std::optional<std::vector<std::uint8_t>> decode_payload(
     std::size_t payload_bytes, const Mcs& mcs) {
   const std::size_t n_data_bits = padded_data_bits(payload_bytes, mcs);
   const std::size_t n_coded = coded_length(n_data_bits, mcs.code_rate);
-  const std::size_t bps = bits_per_symbol(mcs.modulation);
-  if (symbols.size() * bps < n_coded) return std::nullopt;
-
-  std::vector<double> llr = demap_soft(symbols, noise_var, mcs.modulation);
-  llr.resize(n_coded);
-
-  const std::vector<double> deinter =
-      deinterleave_soft(llr, mcs.n_cbps, bps);
-  Bits scrambled = viterbi_decode_soft(deinter, n_data_bits, mcs.code_rate);
-
-  // Descramble; the forced-zero tail bits decode to scrambler output, which
-  // descrambling maps back — we simply ignore everything past the payload.
-  Bits bits = descramble(scrambled);
-
-  // Drop the service field, take payload + CRC.
-  const std::size_t need = 16 + 8 * (payload_bytes + 4);
-  if (bits.size() < need) return std::nullopt;
-  const Bits body(bits.begin() + 16, bits.begin() + static_cast<long>(need));
-  std::vector<std::uint8_t> bytes = bits_to_bytes(body);
-
-  std::vector<std::uint8_t> payload(bytes.begin(),
-                                    bytes.end() - 4);
-  const std::uint32_t fcs =
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 4]) << 24) |
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 16) |
-      (static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 8) |
-      static_cast<std::uint32_t>(bytes[bytes.size() - 1]);
-  if (crc32(payload) != fcs) return std::nullopt;
-  return payload;
+  if (symbols.size() * bits_per_symbol(mcs.modulation) < n_coded) {
+    return std::nullopt;
+  }
+  // The decoder's input, demapped and deinterleaved in one pass.
+  std::vector<double> llr(n_coded);
+  demap_soft_deinterleaved(symbols, noise_var, mcs.modulation, mcs.n_cbps,
+                           llr);
+  return detail::unpack_payload(
+      viterbi_decode_soft(llr, n_data_bits, mcs.code_rate), payload_bytes);
 }
+
+namespace detail {
+
+std::optional<std::vector<std::uint8_t>> unpack_payload(
+    const Bits& scrambled, std::size_t payload_bytes) {
+  std::vector<std::uint8_t> bytes(payload_bytes + 4);
+  if (scrambled.size() < 8 * (kServiceBytes + bytes.size())) {
+    return std::nullopt;
+  }
+  // Pack MSB first and descramble, past the service field; the tail and
+  // pad bits after the FCS are never read.
+  const std::uint8_t* bit = scrambled.data() + 8 * kServiceBytes;
+  std::size_t phase = kServiceBytes;
+  for (std::uint8_t& byte : bytes) {
+    unsigned v = 0;
+    for (int k = 0; k < 8; ++k) v = (v << 1) | (*bit++ & 1u);
+    byte = static_cast<std::uint8_t>(v ^ kScramblerBytes[phase]);
+    phase = phase + 1 == kScramblerPeriod ? 0 : phase + 1;
+  }
+  const std::uint8_t* f = bytes.data() + payload_bytes;
+  const std::uint32_t fcs = (static_cast<std::uint32_t>(f[0]) << 24) |
+                            (static_cast<std::uint32_t>(f[1]) << 16) |
+                            (static_cast<std::uint32_t>(f[2]) << 8) |
+                            static_cast<std::uint32_t>(f[3]);
+  if (crc32(bytes.data(), payload_bytes) != fcs) return std::nullopt;
+  bytes.resize(payload_bytes);
+  return bytes;
+}
+
+}  // namespace detail
 
 }  // namespace nplus::phy

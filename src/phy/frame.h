@@ -51,13 +51,11 @@ struct FrameHeader {
 
 // --- Bit-level codec ----------------------------------------------------
 
-// Bytes -> bits (MSB first).
-Bits bytes_to_bits(const std::vector<std::uint8_t>& bytes);
-std::vector<std::uint8_t> bits_to_bytes(const Bits& bits);
-
 // Encodes payload bytes into constellation symbols, 48 per OFDM symbol:
 // appends CRC-32, prepends the 16-bit service field, scrambles, adds 6 tail
 // bits, pads to a whole symbol, convolutionally encodes, interleaves, maps.
+// Bytes enter the bit stream MSB first. The coding stages run one OFDM
+// symbol at a time, with no one-byte-per-bit copy of the frame.
 std::vector<cdouble> encode_payload(const std::vector<std::uint8_t>& payload,
                                     const Mcs& mcs);
 
@@ -70,5 +68,17 @@ std::size_t encoded_symbol_count(std::size_t payload_bytes, const Mcs& mcs);
 std::optional<std::vector<std::uint8_t>> decode_payload(
     const std::vector<cdouble>& symbols, const std::vector<double>& noise_var,
     std::size_t payload_bytes, const Mcs& mcs);
+
+namespace detail {
+
+// decode_payload's last stage, a seam for tests: descrambles the Viterbi
+// output `scrambled` (the whole data field, service bits first), packs the
+// payload and FCS bytes MSB first and checks the CRC-32. Returns the
+// payload if it checks out, nullopt otherwise or if `scrambled` is too
+// short to hold them.
+std::optional<std::vector<std::uint8_t>> unpack_payload(
+    const Bits& scrambled, std::size_t payload_bytes);
+
+}  // namespace detail
 
 }  // namespace nplus::phy

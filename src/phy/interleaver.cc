@@ -1,7 +1,6 @@
 #include "phy/interleaver.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <utility>
 
@@ -23,58 +22,21 @@ std::vector<std::size_t> interleave_map(std::size_t n_cbps,
   return to;
 }
 
-namespace {
-
-// interleave_map(n_cbps, n_bpsc), built once per thread and key. Map nodes
-// never move, so a returned reference stays valid for the thread's life.
-const std::vector<std::size_t>& cached_map(std::size_t n_cbps,
-                                           std::size_t n_bpsc) {
+const std::vector<std::size_t>& deinterleave_map(std::size_t n_cbps,
+                                                 std::size_t n_bpsc) {
+  // Map nodes never move, so a returned reference stays valid.
   static thread_local std::map<std::pair<std::size_t, std::size_t>,
                                std::vector<std::size_t>>
       maps;
   const auto key = std::make_pair(n_cbps, n_bpsc);
   auto it = maps.find(key);
   if (it == maps.end()) {
-    it = maps.emplace(key, interleave_map(n_cbps, n_bpsc)).first;
+    const std::vector<std::size_t> to = interleave_map(n_cbps, n_bpsc);
+    std::vector<std::size_t> from(n_cbps);
+    for (std::size_t i = 0; i < n_cbps; ++i) from[to[i]] = i;
+    it = maps.emplace(key, std::move(from)).first;
   }
   return it->second;
-}
-
-}  // namespace
-
-Bits interleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
-  assert(in.size() % n_cbps == 0);
-  const auto& map = cached_map(n_cbps, n_bpsc);
-  Bits out(in.size());
-  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
-    const std::size_t base = sym * n_cbps;
-    for (std::size_t k = 0; k < n_cbps; ++k) out[base + map[k]] = in[base + k];
-  }
-  return out;
-}
-
-Bits deinterleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
-  assert(in.size() % n_cbps == 0);
-  const auto& map = cached_map(n_cbps, n_bpsc);
-  Bits out(in.size());
-  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
-    const std::size_t base = sym * n_cbps;
-    for (std::size_t k = 0; k < n_cbps; ++k) out[base + k] = in[base + map[k]];
-  }
-  return out;
-}
-
-std::vector<double> deinterleave_soft(const std::vector<double>& in,
-                                      std::size_t n_cbps,
-                                      std::size_t n_bpsc) {
-  assert(in.size() % n_cbps == 0);
-  const auto& map = cached_map(n_cbps, n_bpsc);
-  std::vector<double> out(in.size());
-  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
-    const std::size_t base = sym * n_cbps;
-    for (std::size_t k = 0; k < n_cbps; ++k) out[base + k] = in[base + map[k]];
-  }
-  return out;
 }
 
 }  // namespace nplus::phy

@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "phy/scrambler.h"  // Bits
-
 namespace nplus::phy {
 
 // Permutation for one symbol: returns `to[i] = j`, meaning input bit i goes
@@ -19,13 +17,12 @@ namespace nplus::phy {
 std::vector<std::size_t> interleave_map(std::size_t n_cbps,
                                         std::size_t n_bpsc);
 
-// Interleaves a whole stream symbol-by-symbol (length must be a multiple of
-// n_cbps).
-Bits interleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc);
-Bits deinterleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc);
-
-// Soft (LLR) deinterleaver for the soft Viterbi path.
-std::vector<double> deinterleave_soft(const std::vector<double>& in,
-                                      std::size_t n_cbps, std::size_t n_bpsc);
+// The inverse of interleave_map(n_cbps, n_bpsc): `from[j] = i`, meaning
+// output position j holds input bit i. Both directions of the stream walk
+// it: interleaving reads coded bit from[j] into slot j, deinterleaving
+// writes received LLR j to slot from[j]. Built once per thread and config;
+// the reference stays valid for the thread's life.
+const std::vector<std::size_t>& deinterleave_map(std::size_t n_cbps,
+                                                 std::size_t n_bpsc);
 
 }  // namespace nplus::phy

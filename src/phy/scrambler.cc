@@ -10,15 +10,12 @@ std::uint8_t Scrambler::next_bit() {
   return fb;
 }
 
-void Scrambler::process(Bits& bits) {
-  for (auto& b : bits) b = static_cast<std::uint8_t>((b ^ next_bit()) & 1u);
-}
-
-Bits scramble(const Bits& bits, std::uint8_t seed) {
+std::array<std::uint8_t, kScramblerPeriod> scrambler_period(
+    std::uint8_t seed) {
   Scrambler s(seed);
-  Bits out = bits;
-  s.process(out);
-  return out;
+  std::array<std::uint8_t, kScramblerPeriod> period{};
+  for (auto& b : period) b = s.next_bit();
+  return period;
 }
 
 }  // namespace nplus::phy

@@ -2,9 +2,13 @@
 //
 // Scrambling whitens the bit stream before convolutional coding so that long
 // runs of identical bits do not bias the constellation. Descrambling is the
-// same operation (self-inverse given the same initial state).
+// same operation (self-inverse given the same initial state): the codec
+// (frame.cc) XORs its bits with the register's sequence, read from one
+// period.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,17 +24,15 @@ class Scrambler {
   // Produces the next scrambling bit and advances the register.
   std::uint8_t next_bit();
 
-  // Scrambles (== descrambles) a bit vector in place.
-  void process(Bits& bits);
-
  private:
   std::uint8_t state_;
 };
 
-// Convenience one-shot forms.
-Bits scramble(const Bits& bits, std::uint8_t seed = 0x5D);
-inline Bits descramble(const Bits& bits, std::uint8_t seed = 0x5D) {
-  return scramble(bits, seed);
-}
+// The register returns to its seed every 127 steps (x^7 + x^4 + 1 is
+// primitive), so a stream's bit i is scrambled with entry i % 127 of one
+// period: the first 127 next_bit() values of Scrambler(seed).
+constexpr std::size_t kScramblerPeriod = 127;
+std::array<std::uint8_t, kScramblerPeriod> scrambler_period(
+    std::uint8_t seed = 0x5D);
 
 }  // namespace nplus::phy

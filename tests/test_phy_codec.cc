@@ -1,8 +1,10 @@
 // Tests for the bit-level PHY: CRC, scrambler, convolutional code +
 // Viterbi (all rates, error correction, bit-identity of every trellis build
 // with the push-form reference decoder, and of the encoder and depuncturer
-// with their pattern-walk references), interleaver, constellations, MCS
-// tables and effective-SNR rate selection.
+// with their pattern-walk references), interleaver, constellations (both
+// demappers memcmp'd against a per-symbol max-log reference), MCS tables,
+// effective-SNR rate selection, and the fused encode, demap→deinterleave
+// and tail stages against the bit-by-bit chain they replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +12,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,16 +66,151 @@ TEST(Crc8, DetectsErrors) {
   EXPECT_NE(crc8(data), crc8(bad));
 }
 
+// The bit-by-bit stages encode_payload and decode_payload ran before they
+// were fused, kept as the references the fused forms must match byte for
+// byte: the register-stepping scrambler, bytes to one-byte-per-bit vectors
+// MSB first, stream-wide (de)interleavers over interleave_map, and the
+// whole-frame chains.
+namespace old_chain {
+
+// The bit-by-bit scrambler: one register step per bit. Self-inverse.
+Bits scramble(const Bits& bits, std::uint8_t seed = 0x5D) {
+  Scrambler s(seed);
+  Bits out = bits;
+  for (auto& b : out) b = static_cast<std::uint8_t>((b ^ s.next_bit()) & 1u);
+  return out;
+}
+
+Bits descramble(const Bits& bits) { return scramble(bits); }
+
+Bits bytes_to_bits(const std::vector<std::uint8_t>& bytes) {
+  Bits bits;
+  bits.reserve(bytes.size() * 8);
+  for (std::uint8_t b : bytes) {
+    for (int i = 7; i >= 0; --i) {
+      bits.push_back(static_cast<std::uint8_t>((b >> i) & 1u));
+    }
+  }
+  return bits;
+}
+
+std::vector<std::uint8_t> bits_to_bytes(const Bits& bits) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(bits.size() / 8);
+  for (std::size_t i = 0; i + 8 <= bits.size(); i += 8) {
+    std::uint8_t b = 0;
+    for (std::size_t j = 0; j < 8; ++j) {
+      b = static_cast<std::uint8_t>((b << 1) | (bits[i + j] & 1u));
+    }
+    bytes.push_back(b);
+  }
+  return bytes;
+}
+
+Bits interleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
+  assert(in.size() % n_cbps == 0);
+  const auto map = interleave_map(n_cbps, n_bpsc);
+  Bits out(in.size());
+  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
+    const std::size_t base = sym * n_cbps;
+    for (std::size_t k = 0; k < n_cbps; ++k) out[base + map[k]] = in[base + k];
+  }
+  return out;
+}
+
+Bits deinterleave(const Bits& in, std::size_t n_cbps, std::size_t n_bpsc) {
+  assert(in.size() % n_cbps == 0);
+  const auto map = interleave_map(n_cbps, n_bpsc);
+  Bits out(in.size());
+  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
+    const std::size_t base = sym * n_cbps;
+    for (std::size_t k = 0; k < n_cbps; ++k) out[base + k] = in[base + map[k]];
+  }
+  return out;
+}
+
+std::vector<double> deinterleave_soft(const std::vector<double>& in,
+                                      std::size_t n_cbps,
+                                      std::size_t n_bpsc) {
+  assert(in.size() % n_cbps == 0);
+  const auto map = interleave_map(n_cbps, n_bpsc);
+  std::vector<double> out(in.size());
+  for (std::size_t sym = 0; sym < in.size() / n_cbps; ++sym) {
+    const std::size_t base = sym * n_cbps;
+    for (std::size_t k = 0; k < n_cbps; ++k) out[base + k] = in[base + map[k]];
+  }
+  return out;
+}
+
+// Data-field bits before coding: service + payload + CRC32 + tail, padded
+// to whole OFDM symbols.
+std::size_t padded_data_bits(std::size_t payload_bytes, const Mcs& mcs) {
+  const std::size_t raw = 16 + 8 * (payload_bytes + 4) + 6;
+  return (raw + mcs.n_dbps - 1) / mcs.n_dbps * mcs.n_dbps;
+}
+
+// The scrambled data field: what encode_payload feeds the encoder, and what
+// an error-free Viterbi pass gives back.
+Bits scrambled_data_field(const std::vector<std::uint8_t>& payload,
+                          const Mcs& mcs) {
+  std::vector<std::uint8_t> with_crc = payload;
+  const std::uint32_t fcs = crc32(payload);
+  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 24));
+  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 16));
+  with_crc.push_back(static_cast<std::uint8_t>(fcs >> 8));
+  with_crc.push_back(static_cast<std::uint8_t>(fcs));
+
+  Bits bits(16, 0);
+  const Bits data_bits = bytes_to_bits(with_crc);
+  bits.insert(bits.end(), data_bits.begin(), data_bits.end());
+  bits.resize(padded_data_bits(payload.size(), mcs), 0);
+
+  Bits scrambled = scramble(bits);
+  const std::size_t tail_start = 16 + data_bits.size();
+  for (std::size_t i = 0; i < 6; ++i) scrambled[tail_start + i] = 0;
+  return scrambled;
+}
+
+std::vector<cdouble> encode_payload(const std::vector<std::uint8_t>& payload,
+                                    const Mcs& mcs) {
+  const Bits coded =
+      conv_encode(scrambled_data_field(payload, mcs), mcs.code_rate);
+  const Bits inter =
+      interleave(coded, mcs.n_cbps, bits_per_symbol(mcs.modulation));
+  return map_bits(inter, mcs.modulation);
+}
+
+// decode_payload's tail on the Viterbi output: descramble, drop the service
+// field, pack, check the CRC-32.
+std::optional<std::vector<std::uint8_t>> unpack_payload(
+    const Bits& scrambled, std::size_t payload_bytes) {
+  const Bits bits = descramble(scrambled);
+  const std::size_t need = 16 + 8 * (payload_bytes + 4);
+  if (bits.size() < need) return std::nullopt;
+  const Bits body(bits.begin() + 16, bits.begin() + static_cast<long>(need));
+  std::vector<std::uint8_t> bytes = bits_to_bytes(body);
+  std::vector<std::uint8_t> payload(bytes.begin(), bytes.end() - 4);
+  const std::uint32_t fcs =
+      (static_cast<std::uint32_t>(bytes[bytes.size() - 4]) << 24) |
+      (static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 16) |
+      (static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 8) |
+      static_cast<std::uint32_t>(bytes[bytes.size() - 1]);
+  if (crc32(payload) != fcs) return std::nullopt;
+  return payload;
+}
+
+}  // namespace old_chain
+
 TEST(Scrambler, SelfInverse) {
   util::Rng rng(2);
   const Bits data = random_bits(1000, rng);
-  EXPECT_EQ(descramble(scramble(data)), data);
+  EXPECT_EQ(old_chain::descramble(old_chain::scramble(data)), data);
 }
 
 TEST(Scrambler, Whitens) {
   // All-zeros input should come out roughly balanced.
   Bits zeros(127 * 4, 0);
-  const Bits s = scramble(zeros);
+  const Bits s = old_chain::scramble(zeros);
   int ones = 0;
   for (auto b : s) ones += b;
   EXPECT_GT(ones, static_cast<int>(s.size()) / 3);
@@ -83,6 +222,18 @@ TEST(Scrambler, PeriodIs127) {
   std::vector<std::uint8_t> first;
   for (int i = 0; i < 127; ++i) first.push_back(s.next_bit());
   for (int i = 0; i < 127; ++i) EXPECT_EQ(s.next_bit(), first[size_t(i)]);
+}
+
+TEST(Scrambler, PeriodTableIsTheRegisterSequence) {
+  for (const std::uint8_t seed : {std::uint8_t{0x5D}, std::uint8_t{0x01},
+                                  std::uint8_t{0x7F}}) {
+    Scrambler s(seed);
+    const auto period = scrambler_period(seed);
+    for (std::size_t i = 0; i < 3 * kScramblerPeriod; ++i) {
+      ASSERT_EQ(s.next_bit(), period[i % kScramblerPeriod])
+          << "seed " << int{seed} << " bit " << i;
+    }
+  }
 }
 
 class ConvCodeSuite : public ::testing::TestWithParam<CodeRate> {};
@@ -393,9 +544,12 @@ class ViterbiDifferential
 TEST_P(ViterbiDifferential, MatchesPushFormReference) {
   const detail::TrellisBuild build = GetParam();
   if (!detail::trellis_build_runs_here(build)) {
+    // The baseline build always runs, so only the ISA builds can skip.
+    const char* isa =
+        build == detail::TrellisBuild::kAvx512 ? "AVX-512F" : "AVX2";
     GTEST_SKIP() << "this CPU cannot run the "
-                 << detail::trellis_build_name(build)
-                 << " trellis build (no AVX2), so it is NOT diff-tested here";
+                 << detail::trellis_build_name(build) << " trellis build (no "
+                 << isa << "), so it is NOT diff-tested here";
   }
   expect_matches_push_form([build](const std::vector<double>& llr,
                                    std::size_t n_out, CodeRate rate) {
@@ -406,7 +560,8 @@ TEST_P(ViterbiDifferential, MatchesPushFormReference) {
 INSTANTIATE_TEST_SUITE_P(
     Builds, ViterbiDifferential,
     ::testing::Values(detail::TrellisBuild::kBaseline,
-                      detail::TrellisBuild::kAvx2),
+                      detail::TrellisBuild::kAvx2,
+                      detail::TrellisBuild::kAvx512),
     [](const ::testing::TestParamInfo<detail::TrellisBuild>& build) {
       return std::string(detail::trellis_build_name(build.param));
     });
@@ -503,7 +658,8 @@ TEST_P(InterleaverSuite, Roundtrip) {
   const auto [n_cbps, n_bpsc] = GetParam();
   util::Rng rng(6);
   const Bits data = random_bits(3 * n_cbps, rng);
-  EXPECT_EQ(deinterleave(interleave(data, n_cbps, n_bpsc), n_cbps, n_bpsc),
+  EXPECT_EQ(old_chain::deinterleave(old_chain::interleave(data, n_cbps, n_bpsc),
+                                    n_cbps, n_bpsc),
             data);
 }
 
@@ -524,28 +680,19 @@ INSTANTIATE_TEST_SUITE_P(Configs, InterleaverSuite,
                                            InterleaverCase{192, 4},
                                            InterleaverCase{288, 6}));
 
-TEST(Interleaver, StreamFormsApplyTheMapOfTheirConfig) {
-  // The stream forms reuse one map per (n_cbps, n_bpsc). Configs alternate,
-  // twice over, so a map reused under the wrong key would show.
-  util::Rng rng(11);
+TEST(Interleaver, DeinterleaveMapInvertsTheMapOfItsConfig) {
+  // deinterleave_map keeps one map per (n_cbps, n_bpsc). Configs
+  // alternate, twice over, so a map reused under the wrong key would show.
   const std::array<InterleaverCase, 4> configs = {
       InterleaverCase{48, 1}, InterleaverCase{96, 2}, InterleaverCase{192, 4},
       InterleaverCase{288, 6}};
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& [n_cbps, n_bpsc] : configs) {
-      const auto map = interleave_map(n_cbps, n_bpsc);
-      const Bits data = random_bits(2 * n_cbps, rng);
-      const std::vector<double> soft(data.begin(), data.end());
-      const Bits inter = interleave(data, n_cbps, n_bpsc);
-      const Bits deinter = deinterleave(data, n_cbps, n_bpsc);
-      const std::vector<double> deinter_soft =
-          deinterleave_soft(soft, n_cbps, n_bpsc);
-      for (std::size_t base = 0; base < data.size(); base += n_cbps) {
-        for (std::size_t k = 0; k < n_cbps; ++k) {
-          ASSERT_EQ(inter[base + map[k]], data[base + k]);
-          ASSERT_EQ(deinter[base + k], data[base + map[k]]);
-          ASSERT_EQ(deinter_soft[base + k], soft[base + map[k]]);
-        }
+      const auto to = interleave_map(n_cbps, n_bpsc);
+      const auto& from = deinterleave_map(n_cbps, n_bpsc);
+      ASSERT_EQ(from.size(), n_cbps);
+      for (std::size_t k = 0; k < n_cbps; ++k) {
+        ASSERT_EQ(from[to[k]], k) << n_cbps << "/" << n_bpsc << " bit " << k;
       }
     }
   }
@@ -765,7 +912,7 @@ TEST(BitsBytes, Roundtrip) {
   util::Rng rng(9);
   std::vector<std::uint8_t> bytes(64);
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
-  EXPECT_EQ(bits_to_bytes(bytes_to_bits(bytes)), bytes);
+  EXPECT_EQ(old_chain::bits_to_bytes(old_chain::bytes_to_bits(bytes)), bytes);
 }
 
 class PayloadCodecSuite : public ::testing::TestWithParam<int> {};
@@ -830,7 +977,8 @@ TEST(CodecProperties, ScramblerComposeInvertRandomLengths) {
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = rng.uniform_int(400u);  // includes 0
     const Bits data = random_bits(n, rng);
-    EXPECT_EQ(descramble(scramble(data)), data) << "length " << n;
+    EXPECT_EQ(old_chain::descramble(old_chain::scramble(data)), data)
+        << "length " << n;
   }
 }
 
@@ -863,8 +1011,8 @@ TEST(CodecProperties, InterleaverComposeInvertAllMcs) {
     const std::size_t bps = bits_per_symbol(mcs.modulation);
     for (std::size_t n_sym : {1u, 3u, 7u}) {
       const Bits data = random_bits(n_sym * mcs.n_cbps, rng);
-      const Bits inter = interleave(data, mcs.n_cbps, bps);
-      EXPECT_EQ(deinterleave(inter, mcs.n_cbps, bps), data)
+      const Bits inter = old_chain::interleave(data, mcs.n_cbps, bps);
+      EXPECT_EQ(old_chain::deinterleave(inter, mcs.n_cbps, bps), data)
           << mcs.name() << " x" << n_sym;
     }
   }
@@ -947,6 +1095,255 @@ TEST(CodecProperties, TailBoundaryLengthsRoundtrip) {
       const auto decoded = decode_payload(symbols, {1e-3}, L, mcs);
       ASSERT_TRUE(decoded.has_value()) << mcs.name() << " length " << L;
       EXPECT_EQ(*decoded, payload);
+    }
+  }
+}
+
+// --- Demappers vs a per-symbol max-log reference ----------------------
+
+// Symbol counts exercising the hard demap's chunking tails: below one
+// chunk, one short of / exactly / one past the 96-lane chunk, and
+// multi-chunk.
+const std::vector<std::size_t> kDemapSizes = {1, 5, 95, 96, 97, 200};
+
+// Checks demap_hard and demap_soft against one symbol at a time with
+// distances from std::norm. Hard: the first nearest point's bits, MSB
+// first. Soft: max-log LLR_b = (min_{bit=1} d - min_{bit=0} d) / nv, with
+// demap_soft's noise-variance rule (empty -> 1.0, the last entry reused,
+// floored at 1e-12). Soft LLRs are compared with memcmp, so NaN outputs
+// must match bit for bit too.
+void expect_demap_matches_reference(const std::vector<cdouble>& syms,
+                                    const std::vector<double>& nv,
+                                    phy::Modulation m,
+                                    const std::string& label) {
+  const auto& pts = phy::constellation_points(m);
+  const std::size_t bps = phy::bits_per_symbol(m);
+  phy::Bits want_hard;
+  std::vector<double> want_soft;
+  for (std::size_t s = 0; s < syms.size(); ++s) {
+    std::vector<double> d(pts.size());
+    for (std::size_t w = 0; w < pts.size(); ++w) {
+      d[w] = std::norm(syms[s] - pts[w]);
+    }
+    const std::size_t best = static_cast<std::size_t>(
+        std::min_element(d.begin(), d.end()) - d.begin());
+    for (std::size_t b = bps; b-- > 0;) {
+      want_hard.push_back(static_cast<std::uint8_t>((best >> b) & 1u));
+    }
+    const double nvs =
+        nv.empty() ? 1.0 : std::max(nv[std::min(s, nv.size() - 1)], 1e-12);
+    for (std::size_t b = bps; b-- > 0;) {
+      double d0 = std::numeric_limits<double>::infinity();
+      double d1 = std::numeric_limits<double>::infinity();
+      for (std::size_t w = 0; w < pts.size(); ++w) {
+        double& dmin = ((w >> b) & 1u) ? d1 : d0;
+        dmin = std::min(dmin, d[w]);
+      }
+      want_soft.push_back((d1 - d0) / nvs);
+    }
+  }
+
+  EXPECT_EQ(phy::demap_hard(syms, m), want_hard)
+      << phy::modulation_name(m) << " " << label;
+  const auto soft = phy::demap_soft(syms, nv, m);
+  ASSERT_EQ(soft.size(), want_soft.size());
+  EXPECT_EQ(std::memcmp(soft.data(), want_soft.data(),
+                        soft.size() * sizeof(double)),
+            0)
+      << phy::modulation_name(m) << " " << label;
+}
+
+const std::vector<phy::Modulation> kModulations = {
+    phy::Modulation::kBpsk, phy::Modulation::kQpsk, phy::Modulation::kQam16,
+    phy::Modulation::kQam64};
+
+TEST(SimdDemap, HardAndSoftMatchPerSymbolMaxLogReference) {
+  for (phy::Modulation m : kModulations) {
+    const std::size_t bps = phy::bits_per_symbol(m);
+    for (std::size_t n_syms : kDemapSizes) {
+      util::Rng rng(40 + n_syms + bps);
+      std::vector<cdouble> syms(n_syms);
+      std::vector<double> nv(n_syms);
+      for (std::size_t i = 0; i < n_syms; ++i) {
+        syms[i] = rng.cgaussian();
+        nv[i] = 0.01 + 0.5 * std::norm(rng.cgaussian());
+      }
+      expect_demap_matches_reference(syms, nv, m,
+                                     "n=" + std::to_string(n_syms));
+    }
+  }
+}
+
+// Symbols where a per-axis demapper could part from the all-points scan:
+// exactly on constellation points, on decision boundaries (ties between
+// neighbouring levels), non-finite or overflowing components, and the
+// noise-variance edge rules.
+TEST(SimdDemap, EdgeSymbolsMatchPerSymbolMaxLogReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (phy::Modulation m : kModulations) {
+    const auto& pts = phy::constellation_points(m);
+    // The unit step of the grid: the magnitude of the innermost level.
+    double unit = kInf;
+    for (const cdouble& p : pts) unit = std::min(unit, std::abs(p.real()));
+
+    std::vector<cdouble> syms(pts.begin(), pts.end());
+    std::vector<double> axis = {0.0};
+    for (int k = 1; k <= 4; ++k) {
+      axis.push_back(2.0 * k * unit);
+      axis.push_back(-2.0 * k * unit);
+    }
+    for (double re : axis) {
+      for (double im : axis) syms.emplace_back(re, im);
+      syms.emplace_back(re, pts[0].imag());
+      syms.emplace_back(pts[0].real(), re);
+    }
+    for (double bad : {kNan, kInf, -kInf, 1e200, -1e200, 1.3e154}) {
+      syms.emplace_back(bad, 0.3 * unit);
+      syms.emplace_back(-0.7 * unit, bad);
+      syms.emplace_back(bad, 0.0);
+      syms.emplace_back(0.0, bad);
+      for (double other : {kNan, kInf, -kInf, 1e200}) {
+        syms.emplace_back(bad, other);
+      }
+    }
+
+    util::Rng rng(50 + pts.size());
+    std::vector<double> nv(syms.size());
+    for (double& v : nv) v = 0.01 + 0.5 * std::norm(rng.cgaussian());
+    nv[1] = 0.0;  // floored at 1e-12
+    expect_demap_matches_reference(syms, nv, m, "edge symbols");
+    expect_demap_matches_reference(syms, {}, m, "empty noise_var");
+    expect_demap_matches_reference(syms, {0.25, 2.0}, m, "short noise_var");
+  }
+}
+
+// Random symbols, then the edge symbols of
+// SimdDemap.EdgeSymbolsMatchPerSymbolMaxLogReference for modulation m.
+std::vector<cdouble> demap_test_symbols(Modulation m, util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const auto& pts = constellation_points(m);
+  double unit = kInf;
+  for (const cdouble& p : pts) unit = std::min(unit, std::abs(p.real()));
+  std::vector<cdouble> syms;
+  for (int i = 0; i < 100; ++i) syms.push_back(rng.cgaussian());
+  syms.insert(syms.end(), pts.begin(), pts.end());
+  std::vector<double> axis = {0.0};
+  for (int k = 1; k <= 4; ++k) {
+    axis.push_back(2.0 * k * unit);
+    axis.push_back(-2.0 * k * unit);
+  }
+  for (double re : axis) {
+    for (double im : axis) syms.emplace_back(re, im);
+    syms.emplace_back(re, pts[0].imag());
+    syms.emplace_back(pts[0].real(), re);
+  }
+  for (double bad : {kNan, kInf, -kInf, 1e200, -1e200, 1.3e154}) {
+    syms.emplace_back(bad, 0.3 * unit);
+    syms.emplace_back(-0.7 * unit, bad);
+    syms.emplace_back(bad, 0.0);
+    syms.emplace_back(0.0, bad);
+    for (double other : {kNan, kInf, -kInf, 1e200}) {
+      syms.emplace_back(bad, other);
+    }
+  }
+  return syms;
+}
+
+// The receive path's fused pass against the two stages it replaced: every
+// MCS, random and edge symbols, whole OFDM symbols plus a ragged remainder
+// the fused form must leave alone, and the noise-variance edge rules.
+// `got` starts dirty, so every slot must be written.
+TEST(FusedDemap, MatchesDeinterleaveOfDemapSoft) {
+  for (const Mcs& mcs : mcs_table()) {
+    const std::size_t bps = bits_per_symbol(mcs.modulation);
+    util::Rng rng(60 + static_cast<std::uint64_t>(mcs.index));
+    std::vector<cdouble> syms = demap_test_symbols(mcs.modulation, rng);
+    for (int i = 0; i < 7; ++i) syms.push_back(rng.cgaussian());
+    std::vector<double> nv(syms.size());
+    for (double& v : nv) v = 0.01 + 0.5 * std::norm(rng.cgaussian());
+    nv[1] = 0.0;  // floored at 1e-12
+    const std::size_t n_out = syms.size() * bps / mcs.n_cbps * mcs.n_cbps;
+    ASSERT_GT(n_out, 0u);
+    for (const auto& noise : {nv, std::vector<double>{},
+                              std::vector<double>{0.25, 2.0}}) {
+      std::vector<double> want = demap_soft(syms, noise, mcs.modulation);
+      want.resize(n_out);
+      want = old_chain::deinterleave_soft(want, mcs.n_cbps, bps);
+      std::vector<double> got(n_out, 7.0);
+      demap_soft_deinterleaved(syms, noise, mcs.modulation, mcs.n_cbps, got);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n_out * sizeof(double)),
+                0)
+          << mcs.name() << " noise_var entries " << noise.size();
+    }
+  }
+}
+
+// Payload lengths 0-64 bytes and a full 1500-byte frame.
+std::vector<std::size_t> payload_test_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(1500);
+  return lengths;
+}
+
+std::vector<std::uint8_t> random_payload(std::size_t n, util::Rng& rng) {
+  std::vector<std::uint8_t> payload(n);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(256u));
+  return payload;
+}
+
+// Pins the transmit bit order (bytes MSB first, scrambler phase, tail,
+// pad, puncturing, interleaving, Gray words) against the old chain.
+TEST(EncodePayload, MatchesBitByBitChain) {
+  util::Rng rng(110);
+  for (const Mcs& mcs : mcs_table()) {
+    for (const std::size_t n : payload_test_lengths()) {
+      const auto payload = random_payload(n, rng);
+      const auto want = old_chain::encode_payload(payload, mcs);
+      const auto got = encode_payload(payload, mcs);
+      ASSERT_EQ(got.size(), want.size()) << mcs.name() << " length " << n;
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(cdouble)),
+                0)
+          << mcs.name() << " length " << n;
+    }
+  }
+}
+
+// The fused tail gives the old descramble / pack / CRC verdict on the
+// error-free data field, on every one-bit corruption of the payload and FCS
+// (for 1500 bytes: of the first and last 64 bytes), on flips of the
+// service, tail and pad bits it never reads, and on a data field one bit
+// too short.
+TEST(UnpackPayload, AcceptsExactlyWhatTheOldTailAccepts) {
+  util::Rng rng(111);
+  for (const int mcs_index : {0, 4, 7}) {
+    const Mcs& mcs = mcs_by_index(mcs_index);
+    for (const std::size_t n : payload_test_lengths()) {
+      const auto payload = random_payload(n, rng);
+      const Bits field = old_chain::scrambled_data_field(payload, mcs);
+      const auto expect_same_verdict = [&](const Bits& bits,
+                                           const std::string& what) -> bool {
+        const auto want = old_chain::unpack_payload(bits, n);
+        EXPECT_EQ(detail::unpack_payload(bits, n), want)
+            << mcs.name() << " length " << n << " " << what;
+        return want.has_value();
+      };
+      ASSERT_TRUE(expect_same_verdict(field, "clean"));
+      const std::size_t body_end = 16 + 8 * (n + 4);
+      for (std::size_t i = 0; i < field.size(); ++i) {
+        const bool in_body = i >= 16 && i < body_end;
+        if (in_body && i >= 16 + 8 * 64 && i < body_end - 8 * 64) continue;
+        Bits flipped = field;
+        flipped[i] ^= 1u;
+        EXPECT_EQ(expect_same_verdict(flipped, "bit " + std::to_string(i)),
+                  !in_body);
+      }
+      const Bits cut(field.begin(),
+                     field.begin() + static_cast<long>(body_end - 1));
+      EXPECT_FALSE(expect_same_verdict(cut, "cut"));
     }
   }
 }

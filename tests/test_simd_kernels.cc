@@ -5,16 +5,13 @@
 // no reassociation, no cross-lane reductions. This suite enforces it with
 // randomized sweeps (several seeds, matrix dims 1..4, lane counts from 1
 // through 52 so every remainder of a vectorized lane loop is hit),
-// memcmp-comparing whole output planes. On top of the kernel sweeps it
-// checks both demappers against a per-symbol max-log reference, on random
-// symbols and on edge cases (points, decision boundaries, NaN and +-inf).
+// memcmp-comparing whole output planes. The demappers' per-symbol max-log
+// guard lives with the demappers, in test_phy_codec.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <complex>
 #include <cstring>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "linalg/mat.h"
@@ -211,125 +208,6 @@ TEST(SimdKernels, PointDistancesMatchStdNorm) {
             << "point_distances lanes=" << lanes << " n_pts=" << pts.size();
       }
     }
-  }
-}
-
-// --- Demappers vs a per-symbol max-log reference ----------------------
-
-// Symbol counts exercising the hard demap's chunking tails: below one
-// chunk, one short of / exactly / one past the 96-lane chunk, and
-// multi-chunk.
-const std::vector<std::size_t> kDemapSizes = {1, 5, 95, 96, 97, 200};
-
-// Checks demap_hard and demap_soft against one symbol at a time with
-// distances from std::norm. Hard: the first nearest point's bits, MSB
-// first. Soft: max-log LLR_b = (min_{bit=1} d - min_{bit=0} d) / nv, with
-// demap_soft's noise-variance rule (empty -> 1.0, the last entry reused,
-// floored at 1e-12). Soft LLRs are compared with memcmp, so NaN outputs
-// must match bit for bit too.
-void expect_demap_matches_reference(const std::vector<cdouble>& syms,
-                                    const std::vector<double>& nv,
-                                    phy::Modulation m,
-                                    const std::string& label) {
-  const auto& pts = phy::constellation_points(m);
-  const std::size_t bps = phy::bits_per_symbol(m);
-  phy::Bits want_hard;
-  std::vector<double> want_soft;
-  for (std::size_t s = 0; s < syms.size(); ++s) {
-    std::vector<double> d(pts.size());
-    for (std::size_t w = 0; w < pts.size(); ++w) {
-      d[w] = std::norm(syms[s] - pts[w]);
-    }
-    const std::size_t best = static_cast<std::size_t>(
-        std::min_element(d.begin(), d.end()) - d.begin());
-    for (std::size_t b = bps; b-- > 0;) {
-      want_hard.push_back(static_cast<std::uint8_t>((best >> b) & 1u));
-    }
-    const double nvs =
-        nv.empty() ? 1.0 : std::max(nv[std::min(s, nv.size() - 1)], 1e-12);
-    for (std::size_t b = bps; b-- > 0;) {
-      double d0 = std::numeric_limits<double>::infinity();
-      double d1 = std::numeric_limits<double>::infinity();
-      for (std::size_t w = 0; w < pts.size(); ++w) {
-        double& dmin = ((w >> b) & 1u) ? d1 : d0;
-        dmin = std::min(dmin, d[w]);
-      }
-      want_soft.push_back((d1 - d0) / nvs);
-    }
-  }
-
-  EXPECT_EQ(phy::demap_hard(syms, m), want_hard)
-      << phy::modulation_name(m) << " " << label;
-  const auto soft = phy::demap_soft(syms, nv, m);
-  ASSERT_EQ(soft.size(), want_soft.size());
-  EXPECT_EQ(std::memcmp(soft.data(), want_soft.data(),
-                        soft.size() * sizeof(double)),
-            0)
-      << phy::modulation_name(m) << " " << label;
-}
-
-const std::vector<phy::Modulation> kModulations = {
-    phy::Modulation::kBpsk, phy::Modulation::kQpsk, phy::Modulation::kQam16,
-    phy::Modulation::kQam64};
-
-TEST(SimdDemap, HardAndSoftMatchPerSymbolMaxLogReference) {
-  for (phy::Modulation m : kModulations) {
-    const std::size_t bps = phy::bits_per_symbol(m);
-    for (std::size_t n_syms : kDemapSizes) {
-      util::Rng rng(40 + n_syms + bps);
-      std::vector<cdouble> syms(n_syms);
-      std::vector<double> nv(n_syms);
-      for (std::size_t i = 0; i < n_syms; ++i) {
-        syms[i] = rng.cgaussian();
-        nv[i] = 0.01 + 0.5 * std::norm(rng.cgaussian());
-      }
-      expect_demap_matches_reference(syms, nv, m,
-                                     "n=" + std::to_string(n_syms));
-    }
-  }
-}
-
-// Symbols where a per-axis demapper could part from the all-points scan:
-// exactly on constellation points, on decision boundaries (ties between
-// neighbouring levels), non-finite or overflowing components, and the
-// noise-variance edge rules.
-TEST(SimdDemap, EdgeSymbolsMatchPerSymbolMaxLogReference) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  for (phy::Modulation m : kModulations) {
-    const auto& pts = phy::constellation_points(m);
-    // The unit step of the grid: the magnitude of the innermost level.
-    double unit = kInf;
-    for (const cdouble& p : pts) unit = std::min(unit, std::abs(p.real()));
-
-    std::vector<cdouble> syms(pts.begin(), pts.end());
-    std::vector<double> axis = {0.0};
-    for (int k = 1; k <= 4; ++k) {
-      axis.push_back(2.0 * k * unit);
-      axis.push_back(-2.0 * k * unit);
-    }
-    for (double re : axis) {
-      for (double im : axis) syms.emplace_back(re, im);
-      syms.emplace_back(re, pts[0].imag());
-      syms.emplace_back(pts[0].real(), re);
-    }
-    for (double bad : {kNan, kInf, -kInf, 1e200, -1e200, 1.3e154}) {
-      syms.emplace_back(bad, 0.3 * unit);
-      syms.emplace_back(-0.7 * unit, bad);
-      syms.emplace_back(bad, 0.0);
-      syms.emplace_back(0.0, bad);
-      for (double other : {kNan, kInf, -kInf, 1e200}) {
-        syms.emplace_back(bad, other);
-      }
-    }
-
-    util::Rng rng(50 + pts.size());
-    std::vector<double> nv(syms.size());
-    for (double& v : nv) v = 0.01 + 0.5 * std::norm(rng.cgaussian());
-    nv[1] = 0.0;  // floored at 1e-12
-    expect_demap_matches_reference(syms, nv, m, "edge symbols");
-    expect_demap_matches_reference(syms, {}, m, "empty noise_var");
-    expect_demap_matches_reference(syms, {0.25, 2.0}, m, "short noise_var");
   }
 }
 
