@@ -22,6 +22,7 @@
 #include "phy/link_abstraction.h"
 #include "phy/mcs.h"
 #include "phy/transceiver.h"
+#include "sim/scenario_gen.h"
 #include "util/rng.h"
 
 namespace {
@@ -612,5 +613,24 @@ void BM_BuildTxFrame3Stream(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildTxFrame3Stream)->Unit(benchmark::kMicrosecond);
+
+// Set-up cost of one fullphy_cell-sized eager world: 10 peer links (10
+// transmitters, 10 receivers) under the heterogeneous antenna mix
+// nplus-bench pins, built sparse (tx-rx pairs and beliefs only) from a fixed
+// stream, as sim::make_world builds each item of a sweep.
+void BM_EagerWorldBuild(benchmark::State& state) {
+  sim::GenConfig gen;
+  gen.n_links = 10;
+  gen.tx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  gen.rx_mix.weights = {0.35, 0.30, 0.20, 0.15};
+  util::Rng topo_rng(23);
+  const sim::GeneratedTopology topo = sim::generate_topology(gen, topo_rng);
+  for (auto _ : state) {
+    util::Rng rng(29);
+    sim::World world = sim::make_world(topo, rng);
+    benchmark::DoNotOptimize(world);
+  }
+}
+BENCHMARK(BM_EagerWorldBuild)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -107,9 +107,8 @@ const cdouble* Twiddles::row(int k) const {
   return &w_[phy::subcarrier_bin(k, fft_size_) * n_taps_];
 }
 
-CMat MimoChannel::response_from(const cdouble* twiddle_row,
-                                std::size_t n_twiddles) const {
-  CMat h(n_rx(), n_tx());
+void MimoChannel::response_from(const cdouble* twiddle_row,
+                                std::size_t n_twiddles, cdouble* out) const {
   for (std::size_t r = 0; r < n_rx(); ++r) {
     for (std::size_t t = 0; t < n_tx(); ++t) {
       cdouble acc{0.0, 0.0};
@@ -118,14 +117,14 @@ CMat MimoChannel::response_from(const cdouble* twiddle_row,
       for (std::size_t l = 0; l < taps.size(); ++l) {
         acc += taps[l] * twiddle_row[l];
       }
-      h(r, t) = acc;
+      *out++ = acc;
     }
   }
-  return h;
 }
 
-CMat MimoChannel::freq_response(int k, const Twiddles& twiddles) const {
-  return response_from(twiddles.row(k), twiddles.n_taps());
+void MimoChannel::freq_response_into(int k, const Twiddles& twiddles,
+                                     cdouble* out) const {
+  response_from(twiddles.row(k), twiddles.n_taps(), out);
 }
 
 CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
@@ -136,7 +135,9 @@ CMat MimoChannel::freq_response(int k, std::size_t fft_size) const {
   const std::size_t bin = phy::subcarrier_bin(k, fft_size);
   Samples w(n_taps);
   for (std::size_t l = 0; l < n_taps; ++l) w[l] = twiddle(bin, l, fft_size);
-  return response_from(w.data(), n_taps);
+  CMat h(n_rx(), n_tx());
+  response_from(w.data(), n_taps, h.data());
+  return h;
 }
 
 std::vector<Samples> MimoChannel::propagate(

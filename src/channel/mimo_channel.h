@@ -81,9 +81,11 @@ class MimoChannel {
   // Frequency response at logical OFDM subcarrier k (-26..26, k != 0) for
   // an `fft_size`-point grid: an n_rx x n_tx matrix.
   CMat freq_response(int k, std::size_t fft_size = 64) const;
-  // The same from a precomputed table (no trigonometry); the table must
-  // cover every tap of the channel.
-  CMat freq_response(int k, const Twiddles& twiddles) const;
+  // The same from a precomputed table (no trigonometry), written row-major
+  // to out[0 .. n_rx * n_tx); the table must cover every tap of the
+  // channel.
+  void freq_response_into(int k, const Twiddles& twiddles,
+                          cdouble* out) const;
 
   // Propagates per-tx-antenna sample streams: output[rx] = sum_tx conv(x_tx,
   // taps[rx][tx]). Output length = input length + n_taps - 1.
@@ -125,8 +127,9 @@ class MimoChannel {
 
  private:
   // H from one subcarrier's twiddle row (at least as long as every pair's
-  // impulse response).
-  CMat response_from(const cdouble* twiddle_row, std::size_t n_twiddles) const;
+  // impulse response), written row-major to `out`.
+  void response_from(const cdouble* twiddle_row, std::size_t n_twiddles,
+                     cdouble* out) const;
 
   std::vector<std::vector<Samples>> taps_;  // [rx][tx][tap]
   // Evolution statistics, filled by the random constructor only.

@@ -211,7 +211,12 @@ struct Lanes<8> {
 // Every lane keeps the scalar rules: the even candidate stands unless it is
 // -inf or NaN, and the odd one wins only if strictly greater. So ties go to
 // the even predecessor, an unreached predecessor (-inf) never wins, and a
-// NaN is never stored. The one cross-lane operation is the integer OR that
+// NaN is never stored. The clamp x > floor ? x : floor and the select
+// o > a ? o : a are each exactly one IEEE max (maxpd(x, y) = x > y ? x : y,
+// NaN included). GCC emits that max only when neither operand is a
+// compile-time constant, so the floor (-inf) arrives as the `unreached`
+// argument of the out-of-line builds: with a constant it compiles to a
+// compare and a blend. The one cross-lane operation is the integer OR that
 // folds the decision masks into the step's survivor word: each lane ANDs
 // its two decisions with its state bit, the blocks OR into one vector for
 // states 0..31 and one for 32..63, and fold_or halves their merge to one
@@ -236,19 +241,19 @@ template <int W>
 [[gnu::always_inline]] inline void trellis_pass(const double* llr,
                                                 std::size_t n_steps,
                                                 std::uint64_t* survivors,
-                                                double* metric) {
+                                                double* metric,
+                                                double unreached) {
   using Vec = typename Lanes<W>::Vec;
   using Mask = typename Lanes<W>::Mask;
   constexpr int kBlocks = kButterflies / W;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
   // Per-lane constants: whether b is la-lb (the pair's bits differ),
   // whether it is negated (a = 1), and the lane's survivor bit.
   Mask use_diff[kBlocks];
   Mask negate[kBlocks];
   Mask bit[kBlocks];
-  Vec neg_inf;
-  for (int l = 0; l < W; ++l) neg_inf[l] = kNegInf;
+  Vec floor;
+  for (int l = 0; l < W; ++l) floor[l] = unreached;
   for (int j = 0; j < kBlocks; ++j) {
     for (int l = 0; l < W; ++l) {
       // The output pair of the edge 2k -> k. The trellis depends only on
@@ -297,12 +302,12 @@ template <int W>
       Vec b = use_diff[j] ? diff : sum;
       b = negate[j] ? -b : b;
       const Vec e_plus = e + b;
-      const Vec a0 = e_plus > neg_inf ? e_plus : neg_inf;
+      const Vec a0 = e_plus > floor ? e_plus : floor;
       const Vec o_minus = o - b;
       const Mask d0 = o_minus > a0;
       next[j] = d0 ? o_minus : a0;
       const Vec e_minus = e - b;
-      const Vec a1 = e_minus > neg_inf ? e_minus : neg_inf;
+      const Vec a1 = e_minus > floor ? e_minus : floor;
       const Vec o_plus = o + b;
       const Mask d1 = o_plus > a1;
       next[kBlocks + j] = d1 ? o_plus : a1;
@@ -350,28 +355,31 @@ void depuncture_rate(const std::vector<double>& llr, std::size_t first,
   while (i < n) walk_one();
 }
 
+// The last argument is the metric of an unreached state, -inf (see
+// trellis_pass).
 using TrellisPass = void (*)(const double*, std::size_t, std::uint64_t*,
-                             double*);
+                             double*, double);
 
 // Trellis steps per depunctured chunk.
 constexpr std::size_t kChunkSteps = 512;
 
 void trellis_pass_baseline(const double* llr, std::size_t n_steps,
-                           std::uint64_t* survivors, double* metric) {
-  trellis_pass<2>(llr, n_steps, survivors, metric);
+                           std::uint64_t* survivors, double* metric,
+                           double unreached) {
+  trellis_pass<2>(llr, n_steps, survivors, metric, unreached);
 }
 
 #if defined(__x86_64__)
 __attribute__((target("avx2"))) void trellis_pass_avx2(
     const double* llr, std::size_t n_steps, std::uint64_t* survivors,
-    double* metric) {
-  trellis_pass<4>(llr, n_steps, survivors, metric);
+    double* metric, double unreached) {
+  trellis_pass<4>(llr, n_steps, survivors, metric, unreached);
 }
 
 __attribute__((target("avx512f"))) void trellis_pass_avx512(
     const double* llr, std::size_t n_steps, std::uint64_t* survivors,
-    double* metric) {
-  trellis_pass<8>(llr, n_steps, survivors, metric);
+    double* metric, double unreached) {
+  trellis_pass<8>(llr, n_steps, survivors, metric, unreached);
 }
 #endif
 
@@ -394,8 +402,9 @@ Bits decode_soft(TrellisPass pass, const std::vector<double>& llr,
   // is written before it is read, so the buffer needs no clearing.
   static thread_local std::vector<std::uint64_t> survivors;
   if (survivors.size() < n_out) survivors.resize(n_out);
+  constexpr double kUnreached = -std::numeric_limits<double>::infinity();
   std::array<double, kStates> metric{};
-  metric.fill(-std::numeric_limits<double>::infinity());
+  metric.fill(kUnreached);
   metric[0] = 0.0;  // encoder starts in state 0
   // The trellis reads the depunctured stream a chunk at a time, so its
   // buffer is a fixed 8 KiB whatever the frame length.
@@ -403,7 +412,7 @@ Bits decode_soft(TrellisPass pass, const std::vector<double>& llr,
   for (std::size_t t0 = 0; t0 < n_out; t0 += kChunkSteps) {
     const std::size_t n = std::min(kChunkSteps, n_out - t0);
     detail::depuncture(llr, t0, n, rate, full.data());
-    pass(full.data(), n, survivors.data() + t0, metric.data());
+    pass(full.data(), n, survivors.data() + t0, metric.data(), kUnreached);
   }
 
   // Trace back from the best end state (frames are tail-terminated to state

@@ -872,7 +872,7 @@ IsolatedTxResult evaluate_isolated_tx(const World& world,
     for (std::size_t s = 0; s < kSc; ++s) {
       std::vector<nulling::OwnReceiver> own;
       for (std::size_t d = 0; d < spec.dests.size(); ++d) {
-        const CMat& h_belief =
+        const CMat h_belief =
             world.reciprocal_channel(spec.tx_node, spec.dests[d].rx_node, s);
         // Wanted rows: dominant receive directions of the believed channel.
         const linalg::Svd dec = linalg::svd(h_belief);

@@ -42,6 +42,14 @@ const WorldConfig& checked(const WorldConfig& config,
     throw std::invalid_argument("World: zero-node world (empty NodeSpec"
                                 " list); nothing to simulate");
   }
+  // A node without antennas has 0 x M channels: its link SNR would average
+  // over no entries (NaN) and every matrix read would be empty.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].n_antennas == 0) {
+      throw std::invalid_argument("World: node " + std::to_string(i) +
+                                  " has zero antennas");
+    }
+  }
   if (!std::isfinite(config.calibration_std) ||
       config.calibration_std < 0.0) {
     throw std::invalid_argument(
@@ -65,20 +73,23 @@ const WorldConfig& checked(const WorldConfig& config,
   return config;
 }
 
+// Where the read a -> b (rows x cols) finds entry (r, c) of subcarrier s in
+// its pair's channel array: at s * rows * cols + r * row + c * col. The
+// array holds lo -> hi, so a read from hi is its transpose.
+struct Steps {
+  std::size_t row;
+  std::size_t col;
+};
+Steps read_steps(bool from_lo, std::size_t rows, std::size_t cols) {
+  return from_lo ? Steps{cols, 1} : Steps{1, rows};
+}
+
 // Link SNR from realized fading: mean channel entry power over every
 // subcarrier, divided by noise (the eager convention).
-double fading_snr_db(const std::vector<CMat>& h, double noise_power) {
+double fading_snr_db(const std::vector<cdouble>& h, double noise_power) {
   double p = 0.0;
-  std::size_t cnt = 0;
-  for (const CMat& hs : h) {
-    for (std::size_t r = 0; r < hs.rows(); ++r) {
-      for (std::size_t c = 0; c < hs.cols(); ++c) {
-        p += std::norm(hs(r, c));
-        ++cnt;
-      }
-    }
-  }
-  return util::to_db(std::max(p / static_cast<double>(cnt), 1e-30) /
+  for (const cdouble& x : h) p += std::norm(x);
+  return util::to_db(std::max(p / static_cast<double>(h.size()), 1e-30) /
                      noise_power);
 }
 
@@ -181,18 +192,16 @@ void World::materialize(Pair& pair, std::size_t lo, std::size_t hi,
 
 void World::derive(Pair& pair) const {
   static const auto data_sc = phy::data_subcarriers();
-  pair.fwd.resize(kSubcarriers);
-  pair.rev.resize(kSubcarriers);
+  const std::size_t nm = pair.taps.n_rx() * pair.taps.n_tx();
+  pair.h.resize(kSubcarriers * nm);
   for (std::size_t s = 0; s < kSubcarriers; ++s) {
-    const CMat h = pair.taps.freq_response(data_sc[s], *twiddles_);
-    pair.fwd[s] = h;                // lo -> hi: N_hi x M_lo
-    pair.rev[s] = h.transpose();    // hi -> lo: reciprocity
+    pair.taps.freq_response_into(data_sc[s], *twiddles_, &pair.h[s * nm]);
   }
   pair.stale = false;
   // Eager convention: link SNR averages the realized fading, so it tracks
   // the evolved channel, not just the budget.
   if (!config_.lazy_channels) {
-    pair.snr_db = fading_snr_db(pair.fwd, noise_power_);
+    pair.snr_db = fading_snr_db(pair.h, noise_power_);
     pair.has_snr = true;
   }
 }
@@ -212,22 +221,9 @@ World::Pair& World::fresh_pair(std::size_t a, std::size_t b) const {
   return pair;
 }
 
-const std::vector<CMat>& World::matrices(std::size_t a, std::size_t b) const {
-  const Pair& pair = fresh_pair(a, b);
-  return a < b ? pair.fwd : pair.rev;
-}
-
-CMat World::estimate_with(const CMat& true_channel, util::Rng& rng) const {
-  CMat est = true_channel;
-  if (config_.estimation_noise_scale <= 0.0) return est;
+double World::estimation_var() const {
   // LS estimate over the two LTF repetitions: error variance noise/2.
-  const double var = config_.estimation_noise_scale * noise_power_ / 2.0;
-  for (std::size_t r = 0; r < est.rows(); ++r) {
-    for (std::size_t c = 0; c < est.cols(); ++c) {
-      est(r, c) += rng.cgaussian(var);
-    }
-  }
-  return est;
+  return config_.estimation_noise_scale * noise_power_ / 2.0;
 }
 
 World::Belief World::measure_belief(std::size_t a, std::size_t b,
@@ -235,13 +231,12 @@ World::Belief World::measure_belief(std::size_t a, std::size_t b,
   // One calibration error per antenna pair, constant across subcarriers
   // (hardware chains are flat over 10 MHz). Stored: refresh_csi reuses it
   // — calibration is a hardware property, not a channel property.
-  Belief belief{CMat(nodes_[b].n_antennas, nodes_[a].n_antennas), {}};
-  for (std::size_t r = 0; r < belief.cal.rows(); ++r) {
-    for (std::size_t c = 0; c < belief.cal.cols(); ++c) {
-      belief.cal(r, c) =
-          cdouble{1.0, 0.0} + rng.cgaussian(config_.calibration_std *
-                                            config_.calibration_std);
-    }
+  const std::size_t nm = nodes_[b].n_antennas * nodes_[a].n_antennas;
+  Belief belief((kSubcarriers + 1) * nm);
+  cdouble* cal = &belief[kSubcarriers * nm];
+  for (std::size_t i = 0; i < nm; ++i) {
+    cal[i] = cdouble{1.0, 0.0} + rng.cgaussian(config_.calibration_std *
+                                               config_.calibration_std);
   }
   derive_beliefs(belief, a, b, rng);
   return belief;
@@ -249,31 +244,53 @@ World::Belief World::measure_belief(std::size_t a, std::size_t b,
 
 void World::derive_beliefs(Belief& belief, std::size_t a, std::size_t b,
                            util::Rng& rng) const {
-  const std::vector<CMat>& rev_chan = matrices(b, a);
-  belief.h.resize(kSubcarriers);
+  // Node a overhears b: it estimates the reverse channel b -> a (M_a x N_b)
+  // with fresh noise, entry by entry in row-major order, then transposes
+  // it and applies the calibration error: belief(r, c) is
+  // (rev(c, r) + noise) * cal(r, c).
+  const Pair& pair = fresh_pair(a, b);
+  const std::size_t n_b = nodes_[b].n_antennas;
+  const std::size_t m_a = nodes_[a].n_antennas;
+  const std::size_t nm = n_b * m_a;
+  const Steps step = read_steps(b < a, m_a, n_b);
+  const bool noisy = config_.estimation_noise_scale > 0.0;
+  const double var = estimation_var();
+  const cdouble* cal = &belief[kSubcarriers * nm];
   for (std::size_t s = 0; s < kSubcarriers; ++s) {
-    const CMat est_rev = estimate_with(rev_chan[s], rng);  // M_a x N_b
-    CMat h = est_rev.transpose();                          // N_b x M_a
-    for (std::size_t r = 0; r < h.rows(); ++r) {
-      for (std::size_t c = 0; c < h.cols(); ++c) {
-        h(r, c) *= belief.cal(r, c);
+    const cdouble* rev = &pair.h[s * nm];
+    cdouble* out = &belief[s * nm];
+    for (std::size_t i = 0; i < m_a; ++i) {
+      for (std::size_t j = 0; j < n_b; ++j) {
+        cdouble est = rev[i * step.row + j * step.col];
+        if (noisy) est += rng.cgaussian(var);
+        est *= cal[j * m_a + i];
+        out[j * m_a + i] = est;
       }
     }
-    belief.h[s] = std::move(h);
   }
 }
 
-const CMat& World::channel(std::size_t a, std::size_t b,
-                           std::size_t sc) const {
+CMat World::channel(std::size_t a, std::size_t b, std::size_t sc) const {
   assert(sc < kSubcarriers);
-  return matrices(a, b)[sc];
+  const Pair& pair = fresh_pair(a, b);
+  const std::size_t rows = nodes_[b].n_antennas;
+  const std::size_t cols = nodes_[a].n_antennas;
+  const Steps step = read_steps(a < b, rows, cols);
+  const cdouble* h = &pair.h[sc * rows * cols];
+  CMat out(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      out(r, c) = h[r * step.row + c * step.col];
+    }
+  }
+  return out;
 }
 
 double World::link_snr_db(std::size_t a, std::size_t b) const {
   if (a == b || !pair_active(roles_, a, b)) return -300.0;
   const std::size_t lo = std::min(a, b);
   const std::size_t hi = std::max(a, b);
-  // An eager pair's SNR is derived with its matrices.
+  // An eager pair's SNR is derived with its channels.
   Pair& pair = config_.lazy_channels ? entry(lo, hi) : fresh_pair(a, b);
   if (!pair.has_snr) {
     // The link budget (pathloss + shadowing) is the FIRST draw of the
@@ -294,11 +311,19 @@ double World::link_snr_db(std::size_t a, std::size_t b) const {
 }
 
 CMat World::estimate(const CMat& true_channel) const {
-  return estimate_with(true_channel, rng_);
+  CMat est = true_channel;
+  if (config_.estimation_noise_scale <= 0.0) return est;
+  const double var = estimation_var();
+  for (std::size_t r = 0; r < est.rows(); ++r) {
+    for (std::size_t c = 0; c < est.cols(); ++c) {
+      est(r, c) += rng_.cgaussian(var);
+    }
+  }
+  return est;
 }
 
-const CMat& World::reciprocal_channel(std::size_t a, std::size_t b,
-                                      std::size_t sc) const {
+CMat World::reciprocal_channel(std::size_t a, std::size_t b,
+                               std::size_t sc) const {
   assert(a != b && sc < kSubcarriers);
   const std::uint64_t k = key(a, b);
   auto it = beliefs_.lower_bound(k);
@@ -311,7 +336,11 @@ const CMat& World::reciprocal_channel(std::size_t a, std::size_t b,
     util::Rng rng = lazy_stream(lazy_base_, n * n + k);
     it = beliefs_.emplace_hint(it, k, measure_belief(a, b, rng));
   }
-  return it->second.h[sc];
+  const std::size_t rows = nodes_[b].n_antennas;
+  const std::size_t cols = nodes_[a].n_antennas;
+  CMat out(rows, cols);
+  std::copy_n(&it->second[sc * rows * cols], rows * cols, out.data());
+  return out;
 }
 
 // --- Dynamics -----------------------------------------------------------
@@ -376,7 +405,7 @@ void World::advance(const std::vector<channel::Location>& positions,
     }
 
     // Small scale: one Gauss-Markov step at the Jakes-matched rho. The
-    // draws happen now, in key order; the pair's matrices are re-derived
+    // draws happen now, in key order; the pair's channels are re-derived
     // from the moved taps only when something reads them, since most pairs
     // move several times between reads.
     const double fd =

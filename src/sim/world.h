@@ -19,9 +19,10 @@
 // "Dynamic networks" section in src/README.md. A world that is never
 // advanced behaves exactly as before.
 //
-// Every mode keeps one table of node pairs (taps, derived matrices, link
-// SNR, dynamics ledger) and one of directed beliefs; eager and lazy worlds
-// differ only in when a pair is drawn and from which stream.
+// Every mode keeps one table of node pairs (taps, one flat array of derived
+// per-subcarrier channels, link SNR, dynamics ledger) and one of directed
+// beliefs (one flat array each); eager and lazy worlds differ only in when a
+// pair is drawn and from which stream.
 #pragma once
 
 #include <cstdint>
@@ -78,19 +79,20 @@ struct WorldConfig {
 class World {
  public:
   // Places `nodes` at `locations` (testbed location indices) and draws all
-  // pairwise channels.
+  // pairwise channels. Rejects a node with zero antennas and a nonsensical
+  // config with std::invalid_argument.
   //
   // `roles` (optional) enables the sparse mode the scenario engine uses for
   // generated large topologies: when non-empty (one NodeRole bitmask per
   // node), only pairs where one endpoint transmits and the other receives
   // get channels, reciprocity beliefs, and link SNRs — everything the round
   // builder ever touches — while rx-rx and tx-tx pairs stay unmaterialized.
-  // A full N-node world is O(N^2 * 48) matrices; with N_t transmitters and
-  // N_r receivers the sparse world is O(N_t * N_r * 48), which is what makes
-  // 100-pair (200-node) worlds fit in memory. An empty `roles` reproduces
-  // the dense behavior (and its RNG stream) exactly. Accessing a channel,
-  // belief, or SNR for a masked-out pair is a contract violation (asserted;
-  // SNR reads return -300 dB).
+  // A full N-node world holds O(N^2) pairs and beliefs of 48 channel
+  // matrices each; with N_t transmitters and N_r receivers the sparse world
+  // holds O(N_t * N_r), which is what makes 100-pair (200-node) worlds fit
+  // in memory. An empty `roles` reproduces the dense behavior (and its RNG
+  // stream) exactly. Accessing a channel, belief, or SNR for a masked-out
+  // pair is a contract violation (asserted; SNR reads return -300 dB).
   World(const channel::Testbed& testbed, const std::vector<NodeSpec>& nodes,
         const std::vector<std::size_t>& locations, util::Rng& rng,
         const WorldConfig& config = {},
@@ -104,8 +106,9 @@ class World {
   const WorldConfig& config() const { return config_; }
 
   // True channel from node a to node b on data subcarrier index `sc`
-  // (0..47): an (antennas(b) x antennas(a)) matrix.
-  const CMat& channel(std::size_t a, std::size_t b, std::size_t sc) const;
+  // (0..47): an (antennas(b) x antennas(a)) matrix, copied out of the pair's
+  // table (inline, no heap use, for up to 4x4).
+  CMat channel(std::size_t a, std::size_t b, std::size_t sc) const;
 
   // Mean per-antenna received power at b for a unit-power transmission from
   // one antenna of a (averaged over subcarriers) divided by noise: the
@@ -123,8 +126,8 @@ class World {
   // Under dynamics this cache is exactly what goes STALE: advance() evolves
   // the true channels but deliberately leaves beliefs at their
   // last-measured values; refresh_csi() re-measures one directed pair.
-  const CMat& reciprocal_channel(std::size_t a, std::size_t b,
-                                 std::size_t sc) const;
+  // Returned by value, like channel().
+  CMat reciprocal_channel(std::size_t a, std::size_t b, std::size_t sc) const;
 
   // --- Dynamic networks --------------------------------------------------
   // An eager World that is never advanced is immutable after construction;
@@ -200,25 +203,26 @@ class World {
     }
 
     // Tap-domain channel (the state evolution operates on) and the
-    // per-subcarrier matrices derived from it.
+    // per-subcarrier channels derived from it: H_s (lo -> hi, N_hi x M_lo)
+    // for s = 0..47, each row-major, one after another — entry (r, c) of
+    // H_s at h[(s * N_hi + r) * M_lo + c]. The read hi -> lo is its exact
+    // transpose (reciprocity), so no second copy is kept.
     bool has_channel = false;
-    bool stale = false;     // taps moved since fwd/rev were derived
+    bool stale = false;     // taps moved since h was derived
     channel::MimoChannel taps{std::vector<std::vector<channel::Samples>>{}};
-    std::vector<CMat> fwd;  // lo -> hi, per subcarrier
-    std::vector<CMat> rev;  // hi -> lo (transpose: reciprocity)
+    std::vector<cdouble> h;
 
-    // Link SNR in dB: an eager world stores the fading average of fwd
+    // Link SNR in dB: an eager world stores the fading average of h
     // (re-derived with it), a lazy world the pathloss+shadowing budget.
     bool has_snr = false;
     double snr_db = -300.0;
   };
-  // Node a's belief about the channel a -> b, keyed a * n_nodes + b. The
-  // calibration error is fixed for the world's lifetime — hardware doesn't
-  // recalibrate because furniture moved; refresh_csi re-draws only h.
-  struct Belief {
-    CMat cal;
-    std::vector<CMat> h;  // per subcarrier
-  };
+  // Node a's belief about the channel a -> b, keyed a * n_nodes + b: its
+  // N_b x M_a matrix for s = 0..47 in Pair::h's layout, then the N_b x M_a
+  // calibration error, row-major. The calibration error is fixed for the
+  // world's lifetime — hardware doesn't recalibrate because furniture
+  // moved; refresh_csi re-draws only the 48 matrices.
+  using Belief = std::vector<cdouble>;
 
   using Pairs = std::map<std::uint64_t, Pair>;
 
@@ -231,20 +235,17 @@ class World {
   // Pair lo < hi's entry; a lazy world creates it on first read.
   Pair& entry(std::size_t lo, std::size_t hi) const;
   // Draws the pair's taps from `rng`, applies the ledger's shadowing
-  // catch-up, and derives the matrices.
+  // catch-up, and derives the channels.
   void materialize(Pair& pair, std::size_t lo, std::size_t hi,
                    util::Rng& rng) const;
-  // fwd[s] = H_s (lo -> hi), rev[s] = H_s^T (hi -> lo) and an eager
-  // pair's link SNR, from the taps: the one place they are derived.
+  // pair.h from the taps, and an eager pair's link SNR: the one place they
+  // are derived.
   void derive(Pair& pair) const;
-  // Pair {a, b} with current matrices: materializes a lazy pair on first
+  // Pair {a, b} with current channels: materializes a lazy pair on first
   // read and re-derives a stale one.
   Pair& fresh_pair(std::size_t a, std::size_t b) const;
-  // The true channel a -> b on every subcarrier.
-  const std::vector<CMat>& matrices(std::size_t a, std::size_t b) const;
-  // Estimation noise from an explicit stream (belief derivation);
-  // estimate() keeps using the world's own stream.
-  CMat estimate_with(const CMat& true_channel, util::Rng& rng) const;
+  // Variance of the LS estimation noise per channel entry.
+  double estimation_var() const;
   // Draws the calibration error for a -> b, then derives the belief.
   Belief measure_belief(std::size_t a, std::size_t b, util::Rng& rng) const;
   // Belief a -> b from the current reverse channel + its fixed calibration

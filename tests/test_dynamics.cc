@@ -257,7 +257,7 @@ TEST(WorldDynamics, StaticAdvanceIsExactNoop) {
   util::Rng probe = dyn.duplicate();
   f.world.advance(f.positions, f.speeds, 0.05, {}, dyn);
   EXPECT_EQ(dyn.uniform(), probe.uniform());  // zero draws consumed
-  const CMat& after = f.world.channel(0, 1, 7);
+  const CMat after = f.world.channel(0, 1, 7);
   for (std::size_t r = 0; r < after.rows(); ++r) {
     for (std::size_t c = 0; c < after.cols(); ++c) {
       EXPECT_EQ(after(r, c), before(r, c));
@@ -295,8 +295,8 @@ TEST(WorldDynamics, BeliefsGoStaleAndRefreshRecovers) {
   const auto rel_err = [&] {
     double num = 0.0, den = 0.0;
     for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
-      const CMat& h = f.world.channel(0, 1, s);
-      const CMat& b = f.world.reciprocal_channel(0, 1, s);
+      const CMat h = f.world.channel(0, 1, s);
+      const CMat b = f.world.reciprocal_channel(0, 1, s);
       for (std::size_t r = 0; r < h.rows(); ++r) {
         for (std::size_t c = 0; c < h.cols(); ++c) {
           num += std::norm(b(r, c) - h(r, c));
@@ -340,8 +340,8 @@ TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
 
   EXPECT_EQ(a.world.link_snr_db(4, 5), b.world.link_snr_db(4, 5));
   for (std::size_t s = 0; s < 4; ++s) {
-    const CMat& ha = a.world.channel(0, 1, s);
-    const CMat& hb = b.world.channel(0, 1, s);
+    const CMat ha = a.world.channel(0, 1, s);
+    const CMat hb = b.world.channel(0, 1, s);
     for (std::size_t r = 0; r < ha.rows(); ++r) {
       for (std::size_t c = 0; c < ha.cols(); ++c) {
         EXPECT_EQ(ha(r, c), hb(r, c));
@@ -356,7 +356,7 @@ TEST(WorldDynamics, LazyWorldAdvanceIsDeterministicAndConsistent) {
   double p = 0.0;
   std::size_t cnt = 0;
   for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
-    const CMat& h = a.world.channel(4, 5, s);
+    const CMat h = a.world.channel(4, 5, s);
     for (std::size_t r = 0; r < h.rows(); ++r) {
       for (std::size_t c = 0; c < h.cols(); ++c) {
         p += std::norm(h(r, c));
@@ -476,6 +476,115 @@ INSTANTIATE_TEST_SUITE_P(EagerAndLazy, WorldDynamicsModes, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& mode) {
                            return mode.param ? "Lazy" : "Eager";
                          });
+
+// --- World reads ----------------------------------------------------------
+
+enum class WorldMode { kEagerDense, kSparse, kLazy };
+
+// The three-pair preset's world in `mode`: every pair (dense), tx-rx pairs
+// only (sparse, the scenario engine's roles), or drawn on first read.
+sim::World world_in_mode(const sim::GeneratedTopology& topo, WorldMode mode,
+                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  sim::WorldConfig cfg;
+  cfg.lazy_channels = mode == WorldMode::kLazy;
+  const std::vector<std::uint8_t> dense;
+  return sim::World(topo.testbed, topo.scenario.nodes, topo.locations, rng,
+                    cfg, mode == WorldMode::kEagerDense ? dense : topo.roles);
+}
+
+// Every (a, b) a world in `mode` may be read at: all ordered pairs of a
+// dense world, transmitter-receiver pairs otherwise.
+std::vector<std::pair<std::size_t, std::size_t>> readable_pairs(
+    const sim::GeneratedTopology& topo, WorldMode mode) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  const std::size_t n = topo.scenario.nodes.size();
+  EXPECT_EQ(topo.roles.size(), n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      const bool tx_rx = (topo.roles[a] & sim::kRoleTx) &&
+                         (topo.roles[b] & sim::kRoleRx);
+      if (a != b && (mode == WorldMode::kEagerDense || tx_rx)) {
+        out.emplace_back(a, b);
+      }
+    }
+  }
+  return out;
+}
+
+class WorldReadModes : public ::testing::TestWithParam<WorldMode> {};
+
+TEST_P(WorldReadModes, ReverseReadIsExactTranspose) {
+  // A pair stores one channel array; the read b -> a is its transpose,
+  // byte for byte, on every subcarrier — before and after advance() moves
+  // the taps and the pair is re-derived.
+  const sim::GeneratedTopology topo = WorldFixture::make();
+  sim::World world = world_in_mode(topo, GetParam(), 11);
+  const auto check = [&] {
+    for (const auto& [a, b] : readable_pairs(topo, GetParam())) {
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        const CMat fwd = world.channel(a, b, s);
+        const CMat rev = world.channel(b, a, s);
+        ASSERT_EQ(fwd.rows(), world.antennas(b));
+        ASSERT_EQ(fwd.cols(), world.antennas(a));
+        EXPECT_TRUE(same_bytes(rev, fwd.transpose()))
+            << a << " -> " << b << " sc " << s;
+      }
+    }
+  };
+  check();
+  channel::EvolutionConfig evo;
+  evo.env_doppler_hz = 20.0;
+  std::vector<channel::Location> moved;
+  for (std::size_t i = 0; i < world.n_nodes(); ++i) {
+    moved.push_back(world.node_position(i));
+  }
+  moved[1].x_m += 1.5;
+  std::vector<double> speeds(moved.size(), 1.0);
+  util::Rng dyn(3);
+  const CMat before = world.channel(0, 1, 0);
+  world.advance(moved, speeds, 0.05, evo, dyn);
+  EXPECT_FALSE(same_bytes(world.channel(0, 1, 0), before));
+  check();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, WorldReadModes,
+    ::testing::Values(WorldMode::kEagerDense, WorldMode::kSparse,
+                      WorldMode::kLazy),
+    [](const ::testing::TestParamInfo<WorldMode>& mode) {
+      switch (mode.param) {
+        case WorldMode::kEagerDense: return "EagerDense";
+        case WorldMode::kSparse: return "Sparse";
+        case WorldMode::kLazy: return "Lazy";
+      }
+      return "Unknown";
+    });
+
+TEST(WorldReads, LazyBeliefsFirstOrChannelsFirstGiveTheSameBytes) {
+  // A lazy world draws each pair and each belief from its own stream, so
+  // reading every belief before any channel (each belief read materializes
+  // its pair) must give the bytes of reading every channel first.
+  const sim::GeneratedTopology topo = WorldFixture::make();
+  const sim::World beliefs_first = world_in_mode(topo, WorldMode::kLazy, 12);
+  const sim::World channels_first = world_in_mode(topo, WorldMode::kLazy, 12);
+  const auto pairs = readable_pairs(topo, WorldMode::kLazy);
+  ASSERT_FALSE(pairs.empty());
+  for (const auto& [a, b] : pairs) {
+    (void)beliefs_first.reciprocal_channel(a, b, 0);
+    (void)channels_first.channel(a, b, 0);
+  }
+  for (const auto& [a, b] : pairs) {
+    for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+      EXPECT_TRUE(same_bytes(beliefs_first.channel(a, b, s),
+                             channels_first.channel(a, b, s)));
+      EXPECT_TRUE(same_bytes(beliefs_first.channel(b, a, s),
+                             channels_first.channel(b, a, s)));
+      EXPECT_TRUE(same_bytes(beliefs_first.reciprocal_channel(a, b, s),
+                             channels_first.reciprocal_channel(a, b, s)));
+    }
+  }
+}
 
 // --- Churn mask at the round level --------------------------------------
 

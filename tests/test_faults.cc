@@ -555,6 +555,19 @@ TEST(Validation, WorldConfigRejectsNonsense) {
     EXPECT_THROW(sim::make_world(topo, w, fft3), std::invalid_argument);
   }
 
+  // A node without antennas: 0 x M channels, a NaN link SNR.
+  {
+    sim::GeneratedTopology no_antennas = topo;
+    no_antennas.scenario.nodes[1].n_antennas = 0;
+    util::Rng w(1);
+    EXPECT_THROW(sim::make_world(no_antennas, w), std::invalid_argument);
+  }
+  {
+    util::Rng w(1);
+    EXPECT_THROW(sim::World(channel::Testbed{}, {{0}, {2}, {1}}, {0, 1, 2}, w),
+                 std::invalid_argument);
+  }
+
   // Powers of two too small for the 52 used subcarriers: at 32 bins the
   // negative-k subcarriers alias onto positive-k ones, at 16 the bin
   // mapping (fft_size - |k|) wraps around.

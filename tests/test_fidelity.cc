@@ -321,8 +321,8 @@ TEST(LazyWorld, AccessOrderInvariantAndDeterministic) {
 
   // w1 reads the SNR scalar first, w2 materializes the channel first.
   const double s1 = w1.link_snr_db(tx, rx);
-  const auto& c2 = w2.channel(tx, rx, 7);
-  const auto& c1 = w1.channel(tx, rx, 7);
+  const auto c2 = w2.channel(tx, rx, 7);
+  const auto c1 = w1.channel(tx, rx, 7);
   const double s2 = w2.link_snr_db(tx, rx);
   EXPECT_DOUBLE_EQ(s1, s2);
   ASSERT_EQ(c1.rows(), c2.rows());
@@ -332,8 +332,8 @@ TEST(LazyWorld, AccessOrderInvariantAndDeterministic) {
       EXPECT_EQ(c1(i, j), c2(i, j));
     }
   }
-  const auto& b1 = w1.reciprocal_channel(tx, rx, 3);
-  const auto& b2 = w2.reciprocal_channel(tx, rx, 3);
+  const auto b1 = w1.reciprocal_channel(tx, rx, 3);
+  const auto b2 = w2.reciprocal_channel(tx, rx, 3);
   for (std::size_t i = 0; i < b1.rows(); ++i) {
     for (std::size_t j = 0; j < b1.cols(); ++j) {
       EXPECT_EQ(b1(i, j), b2(i, j));
@@ -341,8 +341,8 @@ TEST(LazyWorld, AccessOrderInvariantAndDeterministic) {
   }
 
   // Reverse direction is the exact reciprocal transpose.
-  const auto& fwd = w1.channel(tx, rx, 7);
-  const auto& rev = w1.channel(rx, tx, 7);
+  const auto fwd = w1.channel(tx, rx, 7);
+  const auto rev = w1.channel(rx, tx, 7);
   ASSERT_EQ(fwd.rows(), rev.cols());
   ASSERT_EQ(fwd.cols(), rev.rows());
   for (std::size_t i = 0; i < fwd.rows(); ++i) {

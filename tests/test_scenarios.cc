@@ -190,11 +190,11 @@ TEST(SparseWorld, MaterializesExactlyTxRxPairs) {
     for (std::size_t b = 0; b < topo.roles.size(); ++b) {
       if (a == b) continue;
       if ((topo.roles[a] & kRoleTx) && (topo.roles[b] & kRoleRx)) {
-        const linalg::CMat& h = w.channel(a, b, 0);
+        const linalg::CMat h = w.channel(a, b, 0);
         EXPECT_EQ(h.rows(), w.antennas(b));
         EXPECT_EQ(h.cols(), w.antennas(a));
         EXPECT_GT(w.link_snr_db(a, b), -300.0);
-        const linalg::CMat& r = w.reciprocal_channel(a, b, 0);
+        const linalg::CMat r = w.reciprocal_channel(a, b, 0);
         EXPECT_EQ(r.rows(), w.antennas(b));
       } else if (!(topo.roles[b] & kRoleTx)) {
         // rx-rx pair: unmaterialized, SNR stays at the floor.
@@ -210,7 +210,7 @@ TEST(SparseWorld, EmptyRolesStaysDense) {
   util::Rng wrng(10);
   // No roles: even rx-rx channels exist (the historical behavior).
   const World w(topo.testbed, topo.scenario.nodes, topo.locations, wrng);
-  const linalg::CMat& h = w.channel(1, 3, 0);  // rx1 -> rx2
+  const linalg::CMat h = w.channel(1, 3, 0);  // rx1 -> rx2
   EXPECT_EQ(h.rows(), 2u);
   EXPECT_EQ(h.cols(), 1u);
   EXPECT_GT(w.link_snr_db(1, 3), -300.0);

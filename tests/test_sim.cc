@@ -43,10 +43,10 @@ TEST(World, DimensionsMatchNodes) {
   EXPECT_EQ(w.n_nodes(), 6u);
   EXPECT_EQ(w.antennas(0), 1u);
   EXPECT_EQ(w.antennas(4), 3u);
-  const CMat& h = w.channel(4, 5, 0);
+  const CMat h = w.channel(4, 5, 0);
   EXPECT_EQ(h.rows(), 3u);  // rx antennas
   EXPECT_EQ(h.cols(), 3u);  // tx antennas
-  const CMat& h2 = w.channel(0, 3, 10);
+  const CMat h2 = w.channel(0, 3, 10);
   EXPECT_EQ(h2.rows(), 2u);
   EXPECT_EQ(h2.cols(), 1u);
 }
@@ -55,8 +55,8 @@ TEST(World, ChannelsReciprocal) {
   util::Rng rng(2);
   const World w = make_world(rng);
   for (std::size_t sc = 0; sc < 48; sc += 13) {
-    const CMat& fwd = w.channel(2, 3, sc);
-    const CMat& rev = w.channel(3, 2, sc);
+    const CMat fwd = w.channel(2, 3, sc);
+    const CMat rev = w.channel(3, 2, sc);
     EXPECT_LT(linalg::max_abs_diff(rev, fwd.transpose()), 1e-12);
   }
 }
@@ -70,7 +70,7 @@ TEST(World, LinkSnrSymmetric) {
 TEST(World, EstimateAddsBoundedNoise) {
   util::Rng rng(4);
   const World w = make_world(rng);
-  const CMat& h = w.channel(2, 3, 5);
+  const CMat h = w.channel(2, 3, 5);
   const CMat est = w.estimate(h);
   // Error power per entry ~ noise/2.
   double err = 0.0;
@@ -88,7 +88,7 @@ TEST(World, EstimationCanBeDisabled) {
   WorldConfig cfg;
   cfg.estimation_noise_scale = 0.0;
   const World w = make_world(rng, cfg);
-  const CMat& h = w.channel(2, 3, 5);
+  const CMat h = w.channel(2, 3, 5);
   EXPECT_LT(linalg::max_abs_diff(w.estimate(h), h), 1e-15);
 }
 
@@ -97,8 +97,8 @@ TEST(World, ReciprocalBeliefCloseToTruth) {
   const World w = make_world(rng);
   util::RunningStats rel_err_db;
   for (std::size_t sc = 0; sc < 48; ++sc) {
-    const CMat& truth = w.channel(4, 1, sc);
-    const CMat& belief = w.reciprocal_channel(4, 1, sc);
+    const CMat truth = w.channel(4, 1, sc);
+    const CMat belief = w.reciprocal_channel(4, 1, sc);
     for (std::size_t r = 0; r < truth.rows(); ++r) {
       for (std::size_t c = 0; c < truth.cols(); ++c) {
         if (std::abs(truth(r, c)) < 1e-9) continue;

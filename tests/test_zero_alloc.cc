@@ -1,7 +1,8 @@
 // Counting-allocator proof of the kernel layer's core invariant: one
 // steady-state per-subcarrier RX iteration — demodulate a symbol, gather the
 // per-subcarrier receive vector, project/equalize it — performs zero heap
-// allocations once its workspace is warm.
+// allocations once its workspace is warm. The same holds for reading a
+// built world's per-subcarrier channels and beliefs.
 //
 // Every operator new in this binary bumps a counter, so the assertions below
 // would catch any allocation sneaking back into the kernels (a by-value
@@ -12,13 +13,16 @@
 
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "channel/testbed.h"
 #include "dsp/fft.h"
 #include "linalg/decomp.h"
 #include "linalg/mat.h"
 #include "linalg/subspace.h"
 #include "phy/channel_est.h"
 #include "phy/ofdm.h"
+#include "sim/world.h"
 #include "util/rng.h"
 
 namespace {
@@ -194,6 +198,32 @@ TEST(ZeroAlloc, LtfEstimationWithWorkspaceIsAllocationFree) {
     phy::estimate_from_ltf_into(rx, 0, plan, scratch, est, params);
   }
   EXPECT_EQ(g_allocations, before);
+}
+
+TEST(ZeroAlloc, WorldReadsAreAllocationFree) {
+  // Channel and belief reads return matrices by value, copied out of the
+  // world's flat tables: up to 4x4 they stay in CMat's inline buffer. An
+  // eager world is fully built, so no read materializes anything.
+  const channel::Testbed tb;
+  const std::vector<sim::NodeSpec> nodes = {{1}, {2}, {3}, {4}, {4}, {2}};
+  const std::vector<std::size_t> locations = {0, 3, 6, 9, 13, 17};
+  util::Rng rng(5);
+  const sim::World world(tb, nodes, locations, rng);
+
+  const std::size_t before = g_allocations;
+  double total = 0.0;
+  for (std::size_t a = 0; a < nodes.size(); ++a) {
+    for (std::size_t b = 0; b < nodes.size(); ++b) {
+      if (a == b) continue;
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        const CMat h = world.channel(a, b, s);
+        const CMat belief = world.reciprocal_channel(a, b, s);
+        total += std::norm(h(0, 0)) + std::norm(belief(0, 0));
+      }
+    }
+  }
+  EXPECT_EQ(g_allocations, before);
+  EXPECT_GT(total, 0.0);
 }
 
 }  // namespace
