@@ -9,11 +9,10 @@
 
 #include <cstdio>
 
-#include "baselines/dot11n.h"
 #include "channel/testbed.h"
 #include "linalg/subspace.h"
 #include "nulling/compression.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "sim/signal_experiments.h"
 #include "util/cli.h"
@@ -50,27 +49,28 @@ int main(int argc, char** argv) {
               "1-ant pair gain");
   const sim::Scenario sc = sim::three_pair_scenario();
   for (double limit : {1000.0, 35.0, 27.0, 20.0}) {
-    sim::ExperimentConfig cfg;
-    cfg.n_placements = 60;
-    cfg.rounds_per_placement = 4;
-    cfg.seed = 5;
-    cfg.round.include_overheads = false;
-    cfg.round.admission.cancellation_limit_db = limit;
-    const sim::SupervisedExperiment exp = sim::run_experiment(
-        testbed, sc, cfg,
-        {sim::make_nplus_round_fn(sc, cfg.round),
-         baselines::make_dot11n_round_fn(sc, cfg.round)});
-    if (!exp.report.all_ok()) {
-      std::fputs(exp.report.summary().c_str(), stderr);
+    constexpr std::size_t kPlacements = 60;
+    sim::RoundConfig round;
+    round.include_overheads = false;
+    round.admission.cancellation_limit_db = limit;
+    // Items 2p and 2p + 1: n+ and 802.11n on placement p.
+    const sim::SweepOutcome out =
+        sim::CheckpointedRunner(
+            sim::testbed_comparison(
+                sc, kPlacements, {sim::Scheme::kNplus, sim::Scheme::kDot11n},
+                4, round),
+            5, {})
+            .run();
+    if (!out.complete()) {
+      std::fputs(out.report.summary().c_str(), stderr);
       return 1;
     }
-    const std::vector<sim::MethodResult>& res = exp.methods;
     double tot_n = 0, tot_b = 0, p1_n = 0, p1_b = 0;
-    for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-      tot_n += res[0].samples[p].total_mbps;
-      tot_b += res[1].samples[p].total_mbps;
-      p1_n += res[0].samples[p].per_link_mbps[0];
-      p1_b += res[1].samples[p].per_link_mbps[0];
+    for (std::size_t p = 0; p < kPlacements; ++p) {
+      tot_n += out.results[2 * p].total_mbps;
+      tot_b += out.results[2 * p + 1].total_mbps;
+      p1_n += out.results[2 * p].per_link_mbps[0];
+      p1_b += out.results[2 * p + 1].per_link_mbps[0];
     }
     std::printf("%-14.0f %9.2fx %15.2fx\n", limit, tot_n / tot_b,
                 p1_n / p1_b);

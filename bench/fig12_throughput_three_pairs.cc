@@ -11,9 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/dot11n.h"
-#include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -22,28 +20,28 @@ int main(int argc, char** argv) {
   using namespace nplus;
   util::init_threads_from_cli(argc, argv);
 
-  const channel::Testbed testbed;
   const sim::Scenario scenario = sim::three_pair_scenario();
+  constexpr std::size_t kPlacements = 200;
+  sim::RoundConfig round;
+  round.include_overheads = false;  // paper accounting (see header)
 
-  sim::ExperimentConfig cfg;
-  cfg.n_placements = 200;
-  cfg.rounds_per_placement = 6;
-  cfg.seed = 42;
-  cfg.round.include_overheads = false;  // paper accounting (see header)
-
-  const sim::SupervisedExperiment exp = sim::run_experiment(
-      testbed, scenario, cfg,
-      {sim::make_nplus_round_fn(scenario, cfg.round),
-       baselines::make_dot11n_round_fn(scenario, cfg.round)});
-  if (!exp.report.all_ok()) {
-    std::fputs(exp.report.summary().c_str(), stderr);
+  // Items 2p and 2p + 1: n+ and 802.11n on placement p.
+  const sim::SweepOutcome out =
+      sim::CheckpointedRunner(
+          sim::testbed_comparison(scenario, kPlacements,
+                                  {sim::Scheme::kNplus, sim::Scheme::kDot11n},
+                                  6, round),
+          42, {})
+          .run();
+  if (!out.complete()) {
+    std::fputs(out.report.summary().c_str(), stderr);
     return 1;
   }
-  const std::vector<sim::MethodResult>& results = exp.methods;
 
-  auto collect = [&](int method, int link) {
+  auto collect = [&](std::size_t method, int link) {
     std::vector<double> v;
-    for (const auto& s : results[static_cast<std::size_t>(method)].samples) {
+    for (std::size_t p = 0; p < kPlacements; ++p) {
+      const sim::SessionResult& s = out.results[2 * p + method];
       v.push_back(link < 0 ? s.total_mbps
                            : s.per_link_mbps[static_cast<std::size_t>(link)]);
     }
@@ -74,7 +72,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Fig 12: n+ vs 802.11n, three heterogeneous pairs "
               "(%zu placements) ===\n\n",
-              cfg.n_placements);
+              kPlacements);
   print_cdf_rows("Fig 12(a) total network", -1);
   print_cdf_rows("Fig 12(b) tx1-rx1 (1 antenna)", 0);
   print_cdf_rows("Fig 12(c) tx2-rx2 (2 antennas)", 1);

@@ -9,10 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "baselines/beamforming.h"
-#include "baselines/dot11n.h"
-#include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -21,33 +18,33 @@ int main(int argc, char** argv) {
   using namespace nplus;
   util::init_threads_from_cli(argc, argv);
 
-  const channel::Testbed testbed;
   const sim::Scenario scenario = sim::ap_scenario();
+  constexpr std::size_t kPlacements = 200;
+  sim::RoundConfig round;
+  round.include_overheads = false;  // paper accounting
 
-  sim::ExperimentConfig cfg;
-  cfg.n_placements = 200;
-  cfg.rounds_per_placement = 6;
-  cfg.seed = 19;
-  cfg.round.include_overheads = false;  // paper accounting
-
-  const sim::SupervisedExperiment exp = sim::run_experiment(
-      testbed, scenario, cfg,
-      {sim::make_nplus_round_fn(scenario, cfg.round),
-       baselines::make_dot11n_round_fn(scenario, cfg.round),
-       baselines::make_beamforming_round_fn(scenario, cfg.round)});
-  if (!exp.report.all_ok()) {
-    std::fputs(exp.report.summary().c_str(), stderr);
+  // Items 3p, 3p + 1 and 3p + 2: n+, 802.11n and beamforming on
+  // placement p.
+  const sim::SweepOutcome out =
+      sim::CheckpointedRunner(
+          sim::testbed_comparison(scenario, kPlacements,
+                                  {sim::Scheme::kNplus, sim::Scheme::kDot11n,
+                                   sim::Scheme::kBeamforming},
+                                  6, round),
+          19, {})
+          .run();
+  if (!out.complete()) {
+    std::fputs(out.report.summary().c_str(), stderr);
     return 1;
   }
-  const std::vector<sim::MethodResult>& results = exp.methods;
 
   const char* links[] = {"c1 -> AP1", "AP2 -> c2", "AP2 -> c3"};
 
-  auto gains = [&](int baseline, int link) {
+  auto gains = [&](std::size_t baseline, int link) {
     std::vector<double> v;
-    for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-      const auto& a = results[0].samples[p];
-      const auto& b = results[static_cast<std::size_t>(baseline)].samples[p];
+    for (std::size_t p = 0; p < kPlacements; ++p) {
+      const sim::SessionResult& a = out.results[3 * p];
+      const sim::SessionResult& b = out.results[3 * p + baseline];
       const double num =
           link < 0 ? a.total_mbps
                    : a.per_link_mbps[static_cast<std::size_t>(link)];
@@ -59,7 +56,7 @@ int main(int argc, char** argv) {
     return v;
   };
 
-  auto report = [&](const char* title, int baseline) {
+  auto report = [&](const char* title, std::size_t baseline) {
     std::printf("--- %s ---\n", title);
     std::printf("%-12s %6s %6s %6s %6s %6s  %6s\n", "series", "p10", "p25",
                 "p50", "p75", "p90", "mean");
@@ -79,7 +76,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Fig 13: n+ gain CDFs, AP scenario (%zu placements) "
               "===\n\n",
-              cfg.n_placements);
+              kPlacements);
   report("Fig 13(a): gain of n+ over 802.11n", 1);
   report("Fig 13(b): gain of n+ over multi-user beamforming", 2);
   std::printf("(paper: totals 2.4x / 1.8x; c1 ~0.97x; clients 3.5-3.6x / "

@@ -10,10 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/beamforming.h"
-#include "baselines/dot11n.h"
-#include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -22,26 +19,26 @@ int main(int argc, char** argv) {
   using namespace nplus;
   util::init_threads_from_cli(argc, argv);
 
-  sim::ExperimentConfig config;
-  config.n_placements =
+  const std::size_t n_placements =
       argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 60;
-  config.rounds_per_placement = 6;
-  config.seed = 3;
-  config.round.include_overheads = false;
-
-  const channel::Testbed testbed;
   const sim::Scenario scenario = sim::ap_scenario();
+  sim::RoundConfig round;
+  round.include_overheads = false;
 
-  const sim::SupervisedExperiment exp = sim::run_experiment(
-      testbed, scenario, config,
-      {sim::make_nplus_round_fn(scenario, config.round),
-       baselines::make_dot11n_round_fn(scenario, config.round),
-       baselines::make_beamforming_round_fn(scenario, config.round)});
-  if (!exp.report.all_ok()) {
-    std::fputs(exp.report.summary().c_str(), stderr);
+  // One session per (placement, scheme): items 3p, 3p + 1 and 3p + 2 run
+  // n+, 802.11n and beamforming for 6 rounds on random testbed placement p.
+  const sim::SweepOutcome out =
+      sim::CheckpointedRunner(
+          sim::testbed_comparison(scenario, n_placements,
+                                  {sim::Scheme::kNplus, sim::Scheme::kDot11n,
+                                   sim::Scheme::kBeamforming},
+                                  6, round),
+          3, {})
+          .run();
+  if (!out.complete()) {
+    std::fputs(out.report.summary().c_str(), stderr);
     return 1;
   }
-  const std::vector<sim::MethodResult>& results = exp.methods;
 
   const char* methods[] = {"n+", "802.11n", "beamforming"};
   const char* links[] = {"c1 -> AP1 (sensor uplink)",
@@ -55,8 +52,8 @@ int main(int argc, char** argv) {
     std::printf("%-28s", links[l]);
     for (std::size_t m = 0; m < 3; ++m) {
       util::RunningStats s;
-      for (const auto& sample : results[m].samples) {
-        s.add(sample.per_link_mbps[l]);
+      for (std::size_t p = 0; p < n_placements; ++p) {
+        s.add(out.results[3 * p + m].per_link_mbps[l]);
       }
       std::printf(" %7.2f Mb/s", s.mean());
     }
@@ -65,7 +62,9 @@ int main(int argc, char** argv) {
   std::printf("%-28s", "total");
   for (std::size_t m = 0; m < 3; ++m) {
     util::RunningStats s;
-    for (const auto& sample : results[m].samples) s.add(sample.total_mbps);
+    for (std::size_t p = 0; p < n_placements; ++p) {
+      s.add(out.results[3 * p + m].total_mbps);
+    }
     std::printf(" %7.2f Mb/s", s.mean());
   }
   std::printf("\n\nWith n+ the 3-antenna AP transmits to both clients even "

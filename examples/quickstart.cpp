@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "baselines/dot11n.h"
-#include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -21,25 +19,23 @@ int main(int argc, char** argv) {
   using namespace nplus;
   util::init_threads_from_cli(argc, argv);
 
-  sim::ExperimentConfig config;
-  config.n_placements = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40;
-  config.rounds_per_placement = 6;
-  config.seed = 42;
-
-  const channel::Testbed testbed;
+  const std::size_t n_placements =
+      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40;
   const sim::Scenario scenario = sim::three_pair_scenario();
 
-  const std::vector<sim::RoundFn> methods = {
-      sim::make_nplus_round_fn(scenario, config.round),
-      baselines::make_dot11n_round_fn(scenario, config.round),
-  };
-  const sim::SupervisedExperiment exp =
-      sim::run_experiment(testbed, scenario, config, methods);
-  if (!exp.report.all_ok()) {
-    std::fputs(exp.report.summary().c_str(), stderr);
+  // One session per (placement, scheme): items 2p and 2p + 1 run n+ and
+  // 802.11n for 6 rounds on the same random testbed placement p.
+  const sim::SweepOutcome out =
+      sim::CheckpointedRunner(
+          sim::testbed_comparison(scenario, n_placements,
+                                  {sim::Scheme::kNplus, sim::Scheme::kDot11n},
+                                  6, sim::RoundConfig{}),
+          42, {})
+          .run();
+  if (!out.complete()) {
+    std::fputs(out.report.summary().c_str(), stderr);
     return 1;
   }
-  const std::vector<sim::MethodResult>& results = exp.methods;
 
   const char* names[] = {"n+", "802.11n"};
   const char* pairs[] = {"1-antenna pair", "2-antenna pair",
@@ -49,10 +45,10 @@ int main(int argc, char** argv) {
   std::printf("%-16s %12s %12s\n", "", names[0], names[1]);
   for (std::size_t l = 0; l < scenario.links.size(); ++l) {
     double mean[2] = {0.0, 0.0};
-    for (int m = 0; m < 2; ++m) {
+    for (std::size_t m = 0; m < 2; ++m) {
       util::RunningStats s;
-      for (const auto& sample : results[m].samples) {
-        s.add(sample.per_link_mbps[l]);
+      for (std::size_t p = 0; p < n_placements; ++p) {
+        s.add(out.results[2 * p + m].per_link_mbps[l]);
       }
       mean[m] = s.mean();
       totals[m] += s.mean();

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     util::Rng rng(99);
     util::Rng wr = rng.fork(1);
     util::Rng sr = rng.fork(2);
-    const sim::GeneratedTopology t = sim::make_preset(preset, rng);
+    const sim::GeneratedTopology t = sim::make_preset(preset);
     sim::World w = sim::make_world(t, wr);
     sim::SessionConfig cfg;
     cfg.n_rounds = 40;

@@ -10,14 +10,17 @@
 #pragma once
 
 #include "sim/round.h"
-#include "sim/runner.h"
 
 namespace nplus::baselines {
 
-// One beamforming round: winner drawn uniformly over *transmitters*; a
-// winner with multiple links zero-forces to all of them simultaneously
-// (streams split round-robin, capped by each receiver's antennas).
-sim::RoundFn make_beamforming_round_fn(const sim::Scenario& scenario,
+// One beamforming round in the session engine's RoundResult shape (the
+// round a Scheme::kBeamforming session runs): winner drawn uniformly over
+// *transmitters*; a winner with multiple links zero-forces to all of them
+// simultaneously (streams split round-robin, capped by each receiver's
+// antennas). Paper methodology only: random winner, average backoff.
+sim::RoundResult run_beamforming_round(const sim::World& world,
+                                       const sim::Scenario& scenario,
+                                       util::Rng& rng,
                                        const sim::RoundConfig& config);
 
 }  // namespace nplus::baselines

@@ -95,37 +95,4 @@ sim::RoundResult run_dot11n_round(const sim::World& world,
   return out;
 }
 
-sim::RoundFn make_dot11n_round_fn(const sim::Scenario& scenario,
-                                  const sim::RoundConfig& config) {
-  return [&scenario, config](const sim::World& world,
-                             util::Rng& rng) -> sim::GenericRound {
-    sim::GenericRound out;
-    out.delivered_bits.assign(scenario.links.size(), 0.0);
-
-    // Uniform winner among links.
-    const std::size_t li = rng.uniform_int(
-        static_cast<std::uint32_t>(scenario.links.size()));
-    const sim::Link& link = scenario.links[li];
-    const std::size_t streams = std::min(world.antennas(link.tx_node),
-                                         world.antennas(link.rx_node));
-
-    sim::IsolatedTxSpec spec;
-    spec.tx_node = link.tx_node;
-    spec.dests.push_back(sim::IsolatedDest{li, link.rx_node, streams});
-    spec.mu_beamforming = false;
-
-    const sim::IsolatedTxResult res =
-        sim::evaluate_isolated_tx(world, spec, rng, config);
-
-    out.duration_s = res.airtime_s;
-    if (config.include_overheads) {
-      out.duration_s +=
-          config.airtime.timing.difs_s +
-          rng.uniform_int(0, 15) * config.airtime.timing.slot_s;
-    }
-    out.delivered_bits[li] = res.outcomes[0].delivered_bits;
-    return out;
-  };
-}
-
 }  // namespace nplus::baselines

@@ -313,16 +313,21 @@ SweepOutcome CheckpointedRunner::run() {
       [&](std::size_t i, util::CancelToken& token) {
         if (halted.load(std::memory_order_relaxed)) return;
         // Restore a fresh copy of the pre-forked stream, fork
-        // gen/world/session off it, generate, build, run. Any retry starts
-        // from the same state.
+        // topology/world/session off it, generate or place, build, run. Any
+        // retry starts from the same state.
+        const SweepItem& item = items_[i];
         util::Rng rng = util::Rng::restore(table[i]);
         util::Rng gen_rng = rng.fork(1);
         util::Rng world_rng = rng.fork(2);
         util::Rng session_rng = rng.fork(3);
+        const bool placed = item.on_testbed.has_value();
         const GeneratedTopology topo =
-            generate_topology(items_[i].gen, gen_rng);
-        World world = make_world(topo, world_rng, items_[i].world);
-        SessionConfig session_cfg = items_[i].session;
+            placed ? GeneratedTopology{} : generate_topology(item.gen, gen_rng);
+        const Scenario& scenario = placed ? *item.on_testbed : topo.scenario;
+        World world =
+            placed ? place_on_testbed(scenario, gen_rng, world_rng, item.world)
+                   : make_world(topo, world_rng, item.world);
+        SessionConfig session_cfg = item.session;
         session_cfg.cancel = &token;
         // Emission is draw-free, so traced and untraced runs are
         // bit-identical.
@@ -332,15 +337,15 @@ SweepOutcome CheckpointedRunner::run() {
           ring->emit(util::TraceEvent::kItemStart, 0.0, i);
         }
         SessionResult result =
-            run_session(world, topo.scenario, session_rng, session_cfg);
+            run_session(world, scenario, session_rng, session_cfg);
         if (ring != nullptr) {
           ring->emit(util::TraceEvent::kItemEnd, result.duration_s,
                      result.rounds, result.total_mbps);
         }
         if (cfg_.chaos_mutate) cfg_.chaos_mutate(i, result);
         if (cfg_.audit) {
-          audit_session_or_throw(
-              result, make_audit_context(topo.scenario, items_[i].session));
+          audit_session_or_throw(result,
+                                 make_audit_context(scenario, item.session));
         }
 
         std::lock_guard<std::mutex> lock(mu);

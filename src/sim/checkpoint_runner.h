@@ -1,10 +1,12 @@
-// The sweep executor: one generated topology, world and session per
-// SweepItem (scenario_gen.h), under supervision, with periodic
-// checkpointing and bit-exact resume.
+// The sweep executor: one topology, world and session per SweepItem
+// (scenario_gen.h), under supervision, with periodic checkpointing and
+// bit-exact resume. The topology is generated from SweepItem::gen or, for
+// an item with on_testbed set, its fixed scenario placed on the testbed.
 //
 // Item i draws all its randomness from stream s = SweepItem::stream (by
 // default i), the master Rng(seed)'s (s+1)-th fork, taken before any
-// dispatch; the topology, world and session take forks 1/2/3 of it.
+// dispatch; the topology (or placement), world and session take forks
+// 1/2/3 of it.
 // Results are written by index, so a sweep is bit-identical for every
 // thread count. Every item runs inside a util::Supervisor:
 //

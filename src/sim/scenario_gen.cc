@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -198,8 +199,7 @@ const char* preset_name(Preset preset) {
   return "unknown";
 }
 
-GeneratedTopology make_preset(Preset preset, util::Rng& rng) {
-  (void)rng;  // reserved for jittered preset variants
+GeneratedTopology make_preset(Preset preset) {
   GeneratedTopology topo;
   topo.name = preset_name(preset);
   std::vector<Pt> pts;
@@ -259,6 +259,48 @@ World make_world(const GeneratedTopology& topo, util::Rng& rng,
                  const WorldConfig& config) {
   return World(topo.testbed, topo.scenario.nodes, topo.locations, rng,
                config, topo.roles);
+}
+
+World place_on_testbed(const Scenario& scenario, util::Rng& placement_rng,
+                       util::Rng& world_rng, const WorldConfig& config) {
+  const channel::Testbed office;
+  const std::vector<std::uint8_t> roles = node_roles(scenario);
+  std::optional<World> world;
+  for (int draw = 0; draw < kMaxPlacementDraws; ++draw) {
+    world.emplace(office, scenario.nodes,
+                  office.random_placement(scenario.nodes.size(),
+                                          placement_rng),
+                  world_rng, config, roles);
+    if (std::all_of(scenario.links.begin(), scenario.links.end(),
+                    [&](const Link& l) {
+                      return world->link_snr_db(l.tx_node, l.rx_node) >=
+                             kMinLinkSnrDb;
+                    })) {
+      break;
+    }
+  }
+  return std::move(*world);
+}
+
+std::vector<SweepItem> testbed_comparison(const Scenario& scenario,
+                                          std::size_t n_placements,
+                                          const std::vector<Scheme>& schemes,
+                                          std::size_t n_rounds,
+                                          const RoundConfig& round) {
+  std::vector<SweepItem> items;
+  items.reserve(n_placements * schemes.size());
+  for (std::size_t p = 0; p < n_placements; ++p) {
+    for (const Scheme scheme : schemes) {
+      SweepItem item;
+      item.on_testbed = scenario;
+      item.stream = p;
+      item.session.n_rounds = n_rounds;
+      item.session.round = round;
+      item.session.scheme = scheme;
+      items.push_back(std::move(item));
+    }
+  }
+  return items;
 }
 
 }  // namespace nplus::sim

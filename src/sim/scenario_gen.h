@@ -110,22 +110,33 @@ enum class Preset {
                      // inside the cell
 };
 const char* preset_name(Preset preset);
-// Presets have fixed coordinates/antennas; `rng` is reserved for presets
-// that add jitter in the future (currently unused, kept for a uniform
-// call shape with generate_topology).
-GeneratedTopology make_preset(Preset preset, util::Rng& rng);
+// Presets have fixed coordinates and antennas; building one draws nothing.
+GeneratedTopology make_preset(Preset preset);
 
 // Builds the (sparse) World for a generated topology: channels only between
 // transmit and receive roles, placements taken from the topology itself.
 World make_world(const GeneratedTopology& topo, util::Rng& rng,
                  const WorldConfig& config = {});
 
-// One sweep item: a generated topology, its world, and one multi-round
-// session on it. sim::CheckpointedRunner (checkpoint_runner.h) runs a list
-// of them. Items may set session.dynamics (mobility, Doppler channel
-// evolution, churn, adaptive rates) or session.faults: each item owns its
-// world, so live sessions keep the same determinism contract.
+// The paper's experiments run between nodes that can actually communicate:
+// a testbed placement is redrawn until every link's raw SNR reaches this
+// floor, at most this many times (the last draw stands).
+constexpr double kMinLinkSnrDb = 8.0;
+constexpr int kMaxPlacementDraws = 50;
+
+// Places `scenario` at random on the default channel::Testbed (Fig. 10's
+// office) and builds its sparse World: the locations draw from
+// `placement_rng`, the channels from `world_rng`, redrawn as above.
+World place_on_testbed(const Scenario& scenario, util::Rng& placement_rng,
+                       util::Rng& world_rng, const WorldConfig& config = {});
+
+// One sweep item: a topology, its world, and one multi-round session on it.
+// sim::CheckpointedRunner (checkpoint_runner.h) runs a list of them. Items
+// may set session.dynamics (mobility, Doppler channel evolution, churn,
+// adaptive rates) or session.faults: each item owns its world, so live
+// sessions keep the same determinism contract.
 struct SweepItem {
+  // The generated topology; ignored when on_testbed is set.
   GenConfig gen;
   SessionConfig session{};
   WorldConfig world{};
@@ -133,6 +144,19 @@ struct SweepItem {
   // position in the sweep. Items that name the same stream get identical
   // topologies, worlds and session draws (common random numbers).
   std::optional<std::size_t> stream{};
+  // A fixed scenario to place with place_on_testbed instead of generating
+  // one from `gen`.
+  std::optional<Scenario> on_testbed{};
 };
+
+// A paired method comparison on random testbed placements (the paper's
+// §6.3 methodology): item p * schemes.size() + m runs schemes[m] for
+// n_rounds static rounds under `round` on placement p, and all of
+// placement p's items share stream p, so every scheme sees the same world.
+std::vector<SweepItem> testbed_comparison(const Scenario& scenario,
+                                          std::size_t n_placements,
+                                          const std::vector<Scheme>& schemes,
+                                          std::size_t n_rounds,
+                                          const RoundConfig& round);
 
 }  // namespace nplus::sim

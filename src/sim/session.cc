@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "baselines/beamforming.h"
 #include "baselines/dot11n.h"
 #include "mac/airtime.h"
 #include "util/trace.h"
@@ -90,6 +91,12 @@ void SessionConfig::validate() const {
            dynamics.evolution.shadow_decorr_m);
   }
   faults.validate();
+  if (scheme == Scheme::kBeamforming &&
+      (round.dcf_contention || faults.enabled() || dynamics.active())) {
+    throw std::invalid_argument(
+        "SessionConfig: the beamforming scheme runs only static sessions "
+        "without DCF contention, faults or dynamics");
+  }
 }
 
 double jain_index(const std::vector<double>& xs) {
@@ -104,6 +111,24 @@ double jain_index(const std::vector<double>& xs) {
 }
 
 namespace {
+
+// One round of `scheme`. A beamforming session is never live, so it has
+// no mask to pass on.
+RoundResult run_scheme_round(Scheme scheme, const World& world,
+                             const Scenario& scenario, util::Rng& rng,
+                             const RoundConfig& config,
+                             const std::vector<std::uint8_t>* active) {
+  switch (scheme) {
+    case Scheme::kDot11n:
+      return baselines::run_dot11n_round(world, scenario, rng, config,
+                                         active);
+    case Scheme::kBeamforming:
+      return baselines::run_beamforming_round(world, scenario, rng, config);
+    case Scheme::kNplus:
+      break;
+  }
+  return run_nplus_round(world, scenario, rng, config, active);
+}
 
 // Draw-free scaffolding of the round loop (it touches no RNG, so it cannot
 // perturb any session's trace).
@@ -155,8 +180,8 @@ void finalize_session(SessionResult& out,
 
 }  // namespace
 
-// One round loop for every session. A *live* session — dynamics active,
-// faults enabled, or the 802.11n scheme — steps the physical world before
+// One round loop for every session. A *live* session — dynamics active or
+// faults enabled — steps the physical world before
 // each round (mobility -> channel evolution -> churn mask) and re-measures
 // CSI for the links that transmitted after it, all from one stream forked
 // off `rng` at session start. Any other session forks nothing, never steps
@@ -168,9 +193,10 @@ void finalize_session(SessionResult& out,
 // joiners on overheard headers, realizes each transmitted frame's fate,
 // and runs per-frame retry chains — un-ACKed rounds stretch by the ACK
 // timeout, retries re-enter contention with escalated windows, and goodput
-// is scored separately from throughput. Scheme::kDot11n swaps
-// run_nplus_round for the isolated-transmission baseline round under the
-// same session machinery, so fault sweeps compare schemes like for like.
+// is scored separately from throughput. Scheme::kDot11n and
+// Scheme::kBeamforming swap run_nplus_round for an isolated-transmission
+// baseline round under the same session machinery, so the schemes compare
+// like for like.
 SessionResult run_session(World& world, const Scenario& scenario,
                           util::Rng& rng, const SessionConfig& config) {
   config.validate();
@@ -184,8 +210,7 @@ SessionResult run_session(World& world, const Scenario& scenario,
   }
 
   const DynamicsConfig& dyn = config.dynamics;
-  const bool live = dyn.active() || config.faults.enabled() ||
-                    config.scheme == Scheme::kDot11n;
+  const bool live = dyn.active() || config.faults.enabled();
   // Each fork costs two parent draws, so a stream is forked only for the
   // sessions that use it.
   std::optional<util::Rng> dyn_rng;
@@ -308,11 +333,9 @@ SessionResult run_session(World& world, const Scenario& scenario,
                            dyn.churn.idle_step_s);
       }
     } else {
-      const RoundResult res =
-          config.scheme == Scheme::kDot11n
-              ? baselines::run_dot11n_round(world, scenario, rng, round_cfg,
-                                            active)
-              : run_nplus_round(world, scenario, rng, round_cfg, active);
+      const RoundResult res = run_scheme_round(config.scheme, world,
+                                               scenario, rng, round_cfg,
+                                               active);
       out.rounds += 1;
       winners_per_round.add(static_cast<double>(res.winner_order.size()));
       streams_per_round.add(static_cast<double>(res.total_streams));

@@ -57,7 +57,7 @@ struct ChurnConfig {
 //
 // Everything time-varying about a session, in one struct so call sites read
 // as "this session is dynamic". Defaults are all-off; with active() ==
-// false (and faults off, scheme kNplus) a session makes no dynamics draws —
+// false (and faults off) a session makes no dynamics draws —
 // same RNG draw sequence, bit-identical traces to the pre-dynamics engine
 // (the golden fixtures pin this).
 struct DynamicsConfig {
@@ -74,13 +74,16 @@ struct DynamicsConfig {
   }
 };
 
-// Which MAC scheme a session's rounds run. kDot11n exists so fault sweeps
-// can put n+ and the stock baseline under the *identical* fault plan and
-// session accounting (bench/configs/faults.cfg) — it is the same 802.11n
-// round the RoundFn baseline evaluates, in the session engine's shape.
+// Which MAC scheme a session's rounds run: n+ (run_nplus_round), the stock
+// 802.11n baseline (baselines/dot11n.h) or multi-user beamforming
+// (baselines/beamforming.h), so the figure comparisons and the fault sweeps
+// (bench/configs/faults.cfg) put every scheme under the identical session
+// accounting. kBeamforming runs only the paper's static methodology: no
+// DCF, faults or dynamics (SessionConfig::validate rejects them).
 enum class Scheme {
   kNplus,
   kDot11n,
+  kBeamforming,
 };
 
 struct SessionConfig {
@@ -106,7 +109,7 @@ struct SessionConfig {
   // rates). All-off by default; active() makes the session live (see
   // run_session below).
   DynamicsConfig dynamics{};
-  // MAC scheme the rounds run (see Scheme). kDot11n sessions are live.
+  // MAC scheme the rounds run (see Scheme).
   Scheme scheme = Scheme::kNplus;
   // Fault injection + failure-aware MAC (sim/faults.h). Disabled by
   // default; enabled() makes the session live and wires a FaultInjector
@@ -132,8 +135,9 @@ struct SessionConfig {
   util::TraceRing* trace = nullptr;
 
   // Rejects NaN/negative durations and rates, zero-probability nonsense,
-  // and invalid fault plans with std::invalid_argument (clear message)
-  // instead of silent UB. run_session calls this on entry.
+  // invalid fault plans, and kBeamforming with DCF contention, faults or
+  // dynamics with std::invalid_argument (clear message) instead of silent
+  // UB. run_session calls this on entry.
   void validate() const;
 };
 
@@ -190,8 +194,8 @@ double jain_index(const std::vector<double>& xs);
 // whole sessions reproducible under parallel dispatch. With n_rounds == 0
 // it returns at once: zero rates for every link, no draws.
 //
-// A session is *live* when config.dynamics.active(), config.faults.enabled()
-// or scheme == kDot11n. A live session forks one dynamics stream off `rng`
+// A session is *live* when config.dynamics.active() or
+// config.faults.enabled(), whatever its scheme. A live session forks one dynamics stream off `rng`
 // at start, and each round is preceded by a physical-world step covering the
 // previous round's airtime: mobility advances node positions,
 // World::advance applies the Doppler-matched Gauss-Markov channel evolution

@@ -236,8 +236,7 @@ struct WorldFixture {
     }
   }
   static sim::GeneratedTopology make() {
-    util::Rng rng(1);
-    return sim::make_preset(sim::Preset::kThreePair, rng);
+    return sim::make_preset(sim::Preset::kThreePair);
   }
   static sim::World build(const sim::GeneratedTopology& topo,
                           std::uint64_t seed, bool lazy) {
@@ -708,34 +707,42 @@ TEST(DynamicSession, InactiveDynamicsNeverTouchTheWorld) {
   // active() is false — whatever its inert knobs say — makes no dynamics
   // draws and never steps or re-measures the world, so it reproduces the
   // all-off session on a twin world and leaves every channel and belief as
-  // built. (The golden fixtures in tests/golden/ and the manual round-loop
-  // test in test_scenarios pin the all-off draw sequence itself.)
-  util::Rng t1(1);
+  // built, whatever the scheme. (The golden fixtures in tests/golden/ and
+  // the manual round-loop test in test_scenarios pin the all-off draw
+  // sequence itself.)
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kDenseCell, t1);
-  sim::SessionConfig off;
-  off.n_rounds = 30;
-  sim::SessionConfig inert = off;
-  inert.dynamics.mobility.speed_max_mps = 9.0;  // kStatic: nobody moves
-  inert.dynamics.evolution.carrier_hz = 5.8e9;
-  inert.dynamics.rate_control.initial_mcs = 5;  // AARF not enabled
-  ASSERT_FALSE(inert.dynamics.active());
+      sim::make_preset(sim::Preset::kDenseCell);
+  for (const sim::Scheme scheme :
+       {sim::Scheme::kNplus, sim::Scheme::kDot11n,
+        sim::Scheme::kBeamforming}) {
+    SCOPED_TRACE(static_cast<int>(scheme));
+    sim::SessionConfig off;
+    off.n_rounds = 30;
+    off.scheme = scheme;
+    // Beamforming runs only the paper's random-winner contention.
+    off.round.dcf_contention = scheme != sim::Scheme::kBeamforming;
+    sim::SessionConfig inert = off;
+    inert.dynamics.mobility.speed_max_mps = 9.0;  // kStatic: nobody moves
+    inert.dynamics.evolution.carrier_hz = 5.8e9;
+    inert.dynamics.rate_control.initial_mcs = 5;  // AARF not enabled
+    ASSERT_FALSE(inert.dynamics.active());
 
-  util::Rng w1(42), w2(42), w3(42), s1(43), s2(43);
-  sim::World world = sim::make_world(topo, w1);
-  sim::World twin = sim::make_world(topo, w2);
-  const sim::World untouched = sim::make_world(topo, w3);
-  expect_sessions_equal(
-      sim::run_session(world, topo.scenario, s1, off),
-      sim::run_session(twin, topo.scenario, s2, inert));
-  for (const sim::Link& link : topo.scenario.links) {
-    for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
-      EXPECT_TRUE(same_bytes(world.channel(link.tx_node, link.rx_node, s),
-                             untouched.channel(link.tx_node, link.rx_node,
-                                               s)));
-      EXPECT_TRUE(same_bytes(
-          world.reciprocal_channel(link.tx_node, link.rx_node, s),
-          untouched.reciprocal_channel(link.tx_node, link.rx_node, s)));
+    util::Rng w1(42), w2(42), w3(42), s1(43), s2(43);
+    sim::World world = sim::make_world(topo, w1);
+    sim::World twin = sim::make_world(topo, w2);
+    const sim::World untouched = sim::make_world(topo, w3);
+    expect_sessions_equal(
+        sim::run_session(world, topo.scenario, s1, off),
+        sim::run_session(twin, topo.scenario, s2, inert));
+    for (const sim::Link& link : topo.scenario.links) {
+      for (std::size_t s = 0; s < sim::World::kSubcarriers; ++s) {
+        EXPECT_TRUE(same_bytes(world.channel(link.tx_node, link.rx_node, s),
+                               untouched.channel(link.tx_node, link.rx_node,
+                                                 s)));
+        EXPECT_TRUE(same_bytes(
+            world.reciprocal_channel(link.tx_node, link.rx_node, s),
+            untouched.reciprocal_channel(link.tx_node, link.rx_node, s)));
+      }
     }
   }
 }
@@ -792,9 +799,8 @@ TEST(DynamicSession, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DynamicSession, ChurnIdlesTheCellAndDynamicsChangeTheTrace) {
-  util::Rng t(1);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
 
   // Heavy departures, no arrivals: flows die and stay dead.
   sim::SessionConfig dead;
@@ -823,9 +829,8 @@ TEST(DynamicSession, RateControlCrossValidatesAcrossFidelities) {
   // diverge (the feedback is expectation-based vs realization-based), so
   // the check is statistical: both modes deliver, at the same order of
   // magnitude.
-  util::Rng t(1);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   double mbps[2] = {0.0, 0.0};
   for (int mode = 0; mode < 2; ++mode) {
     sim::SessionConfig cfg;

@@ -81,9 +81,8 @@ TEST(Faults, DisabledConfigIsTheAllOffSession) {
   // — builds no injector and makes no fault draws: it reproduces the
   // default session on a twin world draw for draw. (tests/golden pins the
   // all-off draw sequence itself.)
-  util::Rng t(1);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   sim::SessionConfig cfg;
   cfg.n_rounds = 30;
   sim::SessionConfig inert = cfg;
@@ -336,9 +335,8 @@ TEST(Faults, HeaderLossWithFallbackDefersJoiners) {
   // decodes the ongoing transmission's headers, everyone defers, and every
   // round has exactly one winner — n+ degrades to stock 802.11, never
   // below it.
-  util::Rng t(5);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   sim::SessionConfig cfg;
   cfg.n_rounds = 60;
   cfg.faults.header_loss_rate = 1.0;
@@ -368,9 +366,8 @@ TEST(Faults, HeaderLossWithFallbackDefersJoiners) {
 // --- Degenerate channels / NaN guards ------------------------------------
 
 TEST(Faults, DegenerateChannelsAreClampedNotPropagated) {
-  util::Rng t(6);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   sim::SessionConfig cfg;
   cfg.n_rounds = 60;
   cfg.faults.degenerate_channel_rate = 0.5;
@@ -408,9 +405,8 @@ TEST(Faults, PerTableRejectsNonFiniteEsnr) {
 // --- The 802.11n scheme under the session engine -------------------------
 
 TEST(Faults, Dot11nSchemeRunsUnderFaults) {
-  util::Rng t(7);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   sim::SessionConfig cfg;
   cfg.n_rounds = 60;
   cfg.scheme = sim::Scheme::kDot11n;
@@ -461,6 +457,21 @@ TEST(Validation, SessionConfigRejectsNonsense) {
   sim::SessionConfig c8;
   c8.dynamics.evolution.carrier_hz = 0.0;
   EXPECT_THROW(c8.validate(), std::invalid_argument);
+
+  // Beamforming runs static, random-winner sessions only.
+  sim::SessionConfig bf;
+  bf.scheme = sim::Scheme::kBeamforming;
+  bf.round.dcf_contention = false;
+  EXPECT_NO_THROW(bf.validate());
+  sim::SessionConfig bf_dcf = bf;
+  bf_dcf.round.dcf_contention = true;
+  EXPECT_THROW(bf_dcf.validate(), std::invalid_argument);
+  sim::SessionConfig bf_faults = bf;
+  bf_faults.faults.mac_recovery = true;
+  EXPECT_THROW(bf_faults.validate(), std::invalid_argument);
+  sim::SessionConfig bf_dynamic = bf;
+  bf_dynamic.dynamics.use_rate_control = true;
+  EXPECT_THROW(bf_dynamic.validate(), std::invalid_argument);
 }
 
 TEST(Validation, FaultConfigRejectsNonsense) {
@@ -490,9 +501,8 @@ TEST(Validation, FaultConfigRejectsNonsense) {
   EXPECT_THROW(c5.validate(), std::invalid_argument);
 
   // run_session enforces it on entry.
-  util::Rng t(8);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
   util::Rng w(21), s(22);
   sim::World world = sim::make_world(topo, w);
   sim::SessionConfig bad;
@@ -523,9 +533,8 @@ TEST(Validation, GenConfigRejectsNonsense) {
 }
 
 TEST(Validation, WorldConfigRejectsNonsense) {
-  util::Rng t(9);
   const sim::GeneratedTopology topo =
-      sim::make_preset(sim::Preset::kThreePair, t);
+      sim::make_preset(sim::Preset::kThreePair);
 
   sim::WorldConfig cal;
   cal.calibration_std = kNaN;

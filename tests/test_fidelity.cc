@@ -172,7 +172,7 @@ TEST(FullPhyScorer, ZeroLengthPayloadRoundTrips) {
 TEST(Fidelity, RoundProtocolTraceIdenticalAcrossModes) {
   util::Rng master(31);
   const sim::GeneratedTopology three_pair =
-      sim::make_preset(sim::Preset::kThreePair, master);
+      sim::make_preset(sim::Preset::kThreePair);
   // One frozen stream per role, copied per use: Rng::fork advances the
   // parent, and World::estimate consumes world-internal RNG state, so each
   // mode gets its own freshly built — but bit-identical — world.
@@ -242,7 +242,7 @@ ModePair run_both_modes(sim::Preset preset, std::uint64_t seed,
     util::Rng rng(seed);
     util::Rng world_rng = rng.fork(11);
     util::Rng session_rng = rng.fork(12);
-    const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
+    const sim::GeneratedTopology topo = sim::make_preset(preset);
     sim::World world = sim::make_world(topo, world_rng);
     sim::SessionConfig cfg;
     cfg.n_rounds = n_rounds;

@@ -83,7 +83,7 @@ Fields run_trace(sim::Preset preset) {
   util::Rng rng(kSeed);
   util::Rng world_rng = rng.fork(11);
   util::Rng session_rng = rng.fork(12);
-  const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
+  const sim::GeneratedTopology topo = sim::make_preset(preset);
   sim::World world = sim::make_world(topo, world_rng);
   sim::SessionConfig cfg;
   cfg.n_rounds = kRounds;
@@ -107,7 +107,7 @@ Fields run_fault_trace(sim::Scheme scheme) {
   util::Rng rng(kSeed);
   util::Rng world_rng = rng.fork(11);
   util::Rng session_rng = rng.fork(12);
-  const sim::GeneratedTopology topo = sim::make_preset(preset, rng);
+  const sim::GeneratedTopology topo = sim::make_preset(preset);
   sim::World world = sim::make_world(topo, world_rng);
   sim::SessionConfig cfg;
   cfg.n_rounds = kFaultRounds;

@@ -4,9 +4,8 @@
 // versions).
 #include <gtest/gtest.h>
 
-#include "baselines/dot11n.h"
 #include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "sim/signal_experiments.h"
 #include "util/stats.h"
@@ -76,50 +75,46 @@ TEST(SignalCarrierSense, CorrelationDistinguishableOnlyWithProjection) {
   EXPECT_GT(proj_gap.mean(), 0.2);
 }
 
+// A paired n+ / 802.11n comparison of the three-pair scenario on
+// `n_placements` testbed placements, 4 static rounds each at the paper's
+// accounting: results[2p] is n+ and results[2p + 1] 802.11n on placement p.
+std::vector<SessionResult> three_pair_comparison(std::size_t n_placements,
+                                                 std::uint64_t seed) {
+  RoundConfig round;
+  round.include_overheads = false;  // the paper's accounting
+  SweepOutcome out =
+      CheckpointedRunner(
+          testbed_comparison(three_pair_scenario(), n_placements,
+                             {Scheme::kNplus, Scheme::kDot11n}, 4, round),
+          seed, {})
+          .run();
+  EXPECT_TRUE(out.complete()) << out.report.summary();
+  return std::move(out.results);
+}
+
 TEST(Throughput, NplusBeatsDot11nInTotal) {
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 40;
-  cfg.rounds_per_placement = 4;
-  cfg.seed = 7;
-  cfg.round.include_overheads = false;  // the paper's accounting
-  const SupervisedExperiment exp = run_experiment(
-      tb, sc, cfg,
-      {make_nplus_round_fn(sc, cfg.round),
-       baselines::make_dot11n_round_fn(sc, cfg.round)});
-  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
-  const std::vector<MethodResult>& res = exp.methods;
+  const std::size_t n_placements = 40;
+  const std::vector<SessionResult> res = three_pair_comparison(n_placements, 7);
   double nplus = 0.0, dot11n = 0.0;
-  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-    nplus += res[0].samples[p].total_mbps;
-    dot11n += res[1].samples[p].total_mbps;
+  for (std::size_t p = 0; p < n_placements; ++p) {
+    nplus += res[2 * p].total_mbps;
+    dot11n += res[2 * p + 1].total_mbps;
   }
   EXPECT_GT(nplus, 1.2 * dot11n);
 }
 
 TEST(Throughput, GainsOrderedByAntennaCount) {
   // Paper Fig. 12: gain(3-ant) > gain(2-ant) > gain(1-ant) ~ 1.
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
   // Enough placements to pin the 1-antenna gain near its ~0.97x paper
   // value; small samples wander past the upper bound below.
-  cfg.n_placements = 150;
-  cfg.rounds_per_placement = 4;
-  cfg.seed = 13;
-  cfg.round.include_overheads = false;
-  const SupervisedExperiment exp = run_experiment(
-      tb, sc, cfg,
-      {make_nplus_round_fn(sc, cfg.round),
-       baselines::make_dot11n_round_fn(sc, cfg.round)});
-  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
-  const std::vector<MethodResult>& res = exp.methods;
+  const std::size_t n_placements = 150;
+  const std::vector<SessionResult> res =
+      three_pair_comparison(n_placements, 13);
   double n[3] = {0, 0, 0}, b[3] = {0, 0, 0};
-  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-    for (int l = 0; l < 3; ++l) {
-      n[l] += res[0].samples[p].per_link_mbps[static_cast<std::size_t>(l)];
-      b[l] += res[1].samples[p].per_link_mbps[static_cast<std::size_t>(l)];
+  for (std::size_t p = 0; p < n_placements; ++p) {
+    for (std::size_t l = 0; l < 3; ++l) {
+      n[l] += res[2 * p].per_link_mbps[l];
+      b[l] += res[2 * p + 1].per_link_mbps[l];
     }
   }
   const double g1 = n[0] / b[0], g2 = n[1] / b[1], g3 = n[2] / b[2];
@@ -133,23 +128,13 @@ TEST(Throughput, GainsOrderedByAntennaCount) {
 TEST(Throughput, SingleAntennaTaxSmall) {
   // The 1-antenna pair's per-packet delivery degrades by only a few percent
   // (residual interference), even though joiners share its airtime.
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 50;
-  cfg.rounds_per_placement = 4;
-  cfg.seed = 21;
-  cfg.round.include_overheads = false;
-  const SupervisedExperiment exp = run_experiment(
-      tb, sc, cfg,
-      {make_nplus_round_fn(sc, cfg.round),
-       baselines::make_dot11n_round_fn(sc, cfg.round)});
-  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
-  const std::vector<MethodResult>& res = exp.methods;
+  const std::size_t n_placements = 50;
+  const std::vector<SessionResult> res =
+      three_pair_comparison(n_placements, 21);
   double n = 0.0, b = 0.0;
-  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-    n += res[0].samples[p].per_link_mbps[0];
-    b += res[1].samples[p].per_link_mbps[0];
+  for (std::size_t p = 0; p < n_placements; ++p) {
+    n += res[2 * p].per_link_mbps[0];
+    b += res[2 * p + 1].per_link_mbps[0];
   }
   EXPECT_GT(n / b, 0.75);
 }

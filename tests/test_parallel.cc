@@ -8,10 +8,9 @@
 #include <cstring>
 #include <vector>
 
-#include "baselines/dot11n.h"
 #include "channel/mimo_channel.h"
 #include "channel/testbed.h"
-#include "sim/runner.h"
+#include "sim/checkpoint_runner.h"
 #include "sim/scenarios.h"
 #include "sim/signal_experiments.h"
 #include "util/thread_pool.h"
@@ -26,50 +25,25 @@ std::size_t many_threads() {
   return hw > 1 ? hw : 4;
 }
 
-// Both runs must complete every placement and agree sample for sample.
-void expect_identical(const SupervisedExperiment& ea,
-                      const SupervisedExperiment& eb) {
-  ASSERT_TRUE(ea.report.all_ok()) << ea.report.summary();
-  ASSERT_TRUE(eb.report.all_ok()) << eb.report.summary();
-  const std::vector<MethodResult>& a = ea.methods;
-  const std::vector<MethodResult>& b = eb.methods;
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t m = 0; m < a.size(); ++m) {
-    ASSERT_EQ(a[m].samples.size(), b[m].samples.size());
-    for (std::size_t p = 0; p < a[m].samples.size(); ++p) {
-      const auto& sa = a[m].samples[p];
-      const auto& sb = b[m].samples[p];
-      EXPECT_DOUBLE_EQ(sa.total_mbps, sb.total_mbps) << "m=" << m
-                                                     << " p=" << p;
-      ASSERT_EQ(sa.per_link_mbps.size(), sb.per_link_mbps.size());
-      for (std::size_t l = 0; l < sa.per_link_mbps.size(); ++l) {
-        EXPECT_DOUBLE_EQ(sa.per_link_mbps[l], sb.per_link_mbps[l])
-            << "m=" << m << " p=" << p << " l=" << l;
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminism, RunExperimentBitIdenticalAcrossThreadCounts) {
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 8;
-  cfg.rounds_per_placement = 2;
-  cfg.seed = 123;
-  const std::vector<RoundFn> methods = {
-      make_nplus_round_fn(sc, cfg.round),
-      baselines::make_dot11n_round_fn(sc, cfg.round)};
-
-  cfg.n_threads = 1;
-  const SupervisedExperiment serial = run_experiment(tb, sc, cfg, methods);
-  cfg.n_threads = many_threads();
-  const SupervisedExperiment parallel = run_experiment(tb, sc, cfg, methods);
-  cfg.n_threads = 3;  // odd count -> uneven shards
-  const SupervisedExperiment odd = run_experiment(tb, sc, cfg, methods);
-
-  expect_identical(serial, parallel);
-  expect_identical(serial, odd);
+TEST(ParallelDeterminism, PairedPlacementSweepBitIdenticalAcrossThreadCounts) {
+  // The sweep executor under the tsan label: a paired n+ / 802.11n
+  // comparison on testbed placements, serial, wide, odd and repeated.
+  const std::vector<SweepItem> items = testbed_comparison(
+      three_pair_scenario(), 6, {Scheme::kNplus, Scheme::kDot11n}, 2,
+      RoundConfig{});
+  const auto run = [&](std::size_t threads) {
+    RunnerConfig cfg;
+    cfg.supervisor.n_threads = threads;
+    const SweepOutcome out = CheckpointedRunner(items, 123, cfg).run();
+    EXPECT_TRUE(out.complete()) << out.report.summary();
+    util::ByteWriter w;
+    for (const SessionResult& r : out.results) serialize_session_result(r, w);
+    return w.take();
+  };
+  const std::vector<std::uint8_t> serial = run(1);
+  EXPECT_EQ(run(many_threads()), serial);
+  EXPECT_EQ(run(3), serial);  // odd count -> uneven shards
+  EXPECT_EQ(run(many_threads()), serial);
 }
 
 TEST(ParallelDeterminism, NullingSweepBitIdenticalAcrossThreadCounts) {
@@ -157,22 +131,6 @@ TEST(SharedTwiddles, ConcurrentFirstRequestsShareOneTable) {
                 0);
     }
   }
-}
-
-TEST(ParallelDeterminism, RepeatedParallelRunsIdentical) {
-  // Same thread count twice: scheduling noise between runs must not leak
-  // into results either.
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 5;
-  cfg.rounds_per_placement = 2;
-  cfg.seed = 77;
-  cfg.n_threads = many_threads();
-  const std::vector<RoundFn> methods = {make_nplus_round_fn(sc, cfg.round)};
-  const SupervisedExperiment a = run_experiment(tb, sc, cfg, methods);
-  const SupervisedExperiment b = run_experiment(tb, sc, cfg, methods);
-  expect_identical(a, b);
 }
 
 }  // namespace

@@ -238,11 +238,11 @@ TEST(Robustness, InterferencePowerSweepDegradesGracefully) {
 #include <thread>
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "sim/audit.h"
 #include "sim/checkpoint_runner.h"
-#include "sim/runner.h"
 #include "sim/scenario_gen.h"
 #include "sim/scenarios.h"
 #include "util/checkpoint.h"
@@ -268,11 +268,24 @@ std::vector<std::uint8_t> result_bytes(
   return w.take();
 }
 
+// A static session of `scenario` placed on the testbed under `scheme`.
+SweepItem testbed_item(const Scenario& scenario,
+                       Scheme scheme = Scheme::kNplus) {
+  SweepItem item = small_item();
+  item.on_testbed = scenario;
+  item.session.round = RoundConfig{};
+  item.session.scheme = scheme;
+  return item;
+}
+
 // The reference the sweep executor must reproduce: a serial loop over the
 // documented fork structure (item i takes Rng(seed).fork(i + 1), then
-// topology/world/session forks 1/2/3 of it).
+// topology/world/session forks 1/2/3 of it). A testbed item draws its
+// placement from fork 1 and its world from fork 2, redrawn until every
+// link clears the SNR floor (at most kMaxPlacementDraws times).
 std::vector<SessionResult> reference_sweep(
     const std::vector<SweepItem>& items, std::uint64_t seed) {
+  const channel::Testbed office;
   util::Rng master(seed);
   std::vector<SessionResult> out;
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -280,6 +293,23 @@ std::vector<SessionResult> reference_sweep(
     util::Rng gen_rng = rng.fork(1);
     util::Rng world_rng = rng.fork(2);
     util::Rng session_rng = rng.fork(3);
+    if (const std::optional<Scenario>& sc = items[i].on_testbed) {
+      std::optional<World> world;
+      for (int draw = 0; draw < kMaxPlacementDraws; ++draw) {
+        const std::vector<std::size_t> locations =
+            office.random_placement(sc->nodes.size(), gen_rng);
+        world.emplace(office, sc->nodes, locations, world_rng,
+                      items[i].world, node_roles(*sc));
+        bool alive = true;
+        for (const Link& l : sc->links) {
+          alive = alive &&
+                  world->link_snr_db(l.tx_node, l.rx_node) >= kMinLinkSnrDb;
+        }
+        if (alive) break;
+      }
+      out.push_back(run_session(*world, *sc, session_rng, items[i].session));
+      continue;
+    }
     const GeneratedTopology topo = generate_topology(items[i].gen, gen_rng);
     World world = make_world(topo, world_rng, items[i].world);
     out.push_back(
@@ -519,7 +549,9 @@ TEST(Audit, CatchesSeededViolations) {
 }
 
 TEST(CheckpointRunner, FreshRunMatchesReferenceLoop) {
-  const std::vector<SweepItem> items(4, small_item());
+  std::vector<SweepItem> items(4, small_item());
+  items.push_back(testbed_item(three_pair_scenario()));
+  items.push_back(testbed_item(ap_scenario(), Scheme::kBeamforming));
   const std::uint64_t seed = 21;
   const std::vector<SessionResult> expected = reference_sweep(items, seed);
   RunnerConfig cfg;
@@ -654,21 +686,28 @@ TEST(CheckpointRunner, ItemsSharingAStreamReplayIdenticalSessions) {
 }
 
 TEST(CheckpointRunner, PairedSweepResumesByteIdentically) {
-  std::vector<SweepItem> items(6, small_item());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    items[i].stream = i % 2;
-    items[i].session.n_rounds = 6 + i;  // points differ, worlds repeat
+  std::vector<SweepItem> generated(6, small_item());
+  for (std::size_t i = 0; i < generated.size(); ++i) {
+    generated[i].stream = i % 2;
+    generated[i].session.n_rounds = 6 + i;  // points differ, worlds repeat
   }
-  RunnerConfig cfg;
-  cfg.supervisor.n_threads = 2;
-  const SweepOutcome whole = CheckpointedRunner(items, 47, cfg).run();
-  ASSERT_TRUE(whole.complete());
-  TempFile ckpt("test_ckpt_paired.bin");
-  const SweepOutcome resumed =
-      halt_then_resume(items, 47, 4, ckpt.path, nullptr);
-  EXPECT_TRUE(resumed.complete());
-  EXPECT_GE(resumed.resumed, 2u);
-  EXPECT_EQ(result_bytes(resumed.results), result_bytes(whole.results));
+  // Fig. 13's three-scheme comparison on three testbed placements.
+  std::vector<SweepItem> placed = testbed_comparison(
+      ap_scenario(), 3,
+      {Scheme::kNplus, Scheme::kDot11n, Scheme::kBeamforming}, 6,
+      RoundConfig{});
+  for (std::vector<SweepItem>* items : {&generated, &placed}) {
+    RunnerConfig cfg;
+    cfg.supervisor.n_threads = 2;
+    const SweepOutcome whole = CheckpointedRunner(*items, 47, cfg).run();
+    ASSERT_TRUE(whole.complete()) << whole.report.summary();
+    TempFile ckpt("test_ckpt_paired.bin");
+    const SweepOutcome resumed =
+        halt_then_resume(*items, 47, 4, ckpt.path, nullptr);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_GE(resumed.resumed, 2u);
+    EXPECT_EQ(result_bytes(resumed.results), result_bytes(whole.results));
+  }
 }
 
 TEST(CheckpointRunner, QuarantinedItemYieldsPartialResults) {
@@ -768,46 +807,6 @@ TEST(CheckpointRunner, ZeroCheckpointCadenceIsRejected) {
   cfg.checkpoint_every = 0;
   EXPECT_THROW(CheckpointedRunner runner(items, 3, cfg),
                std::invalid_argument);
-}
-
-TEST(RunnerSupervised, FailedPlacementsKeepZeroedSamples) {
-  // A placement that throws is quarantined, not rethrown: every method's
-  // sample for it stays zeroed (even a method that finished before the
-  // failing one) and completed[p] == 0 flags it; healthy runs complete.
-  const channel::Testbed testbed;
-  const Scenario scenario = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 4;
-  cfg.rounds_per_placement = 2;
-  cfg.seed = 9;
-  cfg.n_threads = 2;
-  const RoundFn nplus = make_nplus_round_fn(scenario, cfg.round);
-  const RoundFn broken = [](const World&, util::Rng&) -> GenericRound {
-    throw std::runtime_error("round exploded");
-  };
-
-  const SupervisedExperiment ok =
-      run_experiment(testbed, scenario, cfg, {nplus});
-  EXPECT_TRUE(ok.report.all_ok());
-  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-    EXPECT_TRUE(ok.completed[p]);
-    EXPECT_EQ(ok.methods[0].samples[p].per_link_mbps.size(),
-              scenario.links.size());
-  }
-
-  const SupervisedExperiment failed =
-      run_experiment(testbed, scenario, cfg, {nplus, broken});
-  EXPECT_EQ(failed.report.failures.size(), cfg.n_placements);
-  EXPECT_NE(failed.report.summary().find("round exploded"),
-            std::string::npos);
-  ASSERT_EQ(failed.methods.size(), 2u);
-  for (std::size_t p = 0; p < cfg.n_placements; ++p) {
-    EXPECT_FALSE(failed.completed[p]);
-    for (const MethodResult& m : failed.methods) {
-      EXPECT_EQ(m.samples[p].total_mbps, 0.0);
-      EXPECT_TRUE(m.samples[p].per_link_mbps.empty());
-    }
-  }
 }
 
 }  // namespace

@@ -143,8 +143,7 @@ TEST(ScenarioGen, PlacementWithinAreaAndSeparated) {
 }
 
 TEST(ScenarioGen, PresetsHavePinnedShapes) {
-  util::Rng rng(6);
-  const GeneratedTopology tp = make_preset(Preset::kThreePair, rng);
+  const GeneratedTopology tp = make_preset(Preset::kThreePair);
   EXPECT_STREQ(preset_name(Preset::kThreePair), "three_pair");
   // Matches the hand-built paper scenario exactly.
   const Scenario paper = three_pair_scenario();
@@ -158,18 +157,18 @@ TEST(ScenarioGen, PresetsHavePinnedShapes) {
     EXPECT_EQ(tp.scenario.links[i].rx_node, paper.links[i].rx_node);
   }
 
-  const GeneratedTopology hidden = make_preset(Preset::kHiddenTerminal, rng);
+  const GeneratedTopology hidden = make_preset(Preset::kHiddenTerminal);
   EXPECT_EQ(hidden.scenario.links.size(), 2u);
   // Transmitters far apart, receivers close together.
   EXPECT_GT(hidden.testbed.distance_m(0, 2), 20.0);
   EXPECT_LT(hidden.testbed.distance_m(1, 3), 4.0);
 
   const GeneratedTopology exposed =
-      make_preset(Preset::kExposedTerminal, rng);
+      make_preset(Preset::kExposedTerminal);
   EXPECT_LT(exposed.testbed.distance_m(0, 2), 5.0);   // txs adjacent
   EXPECT_GT(exposed.testbed.distance_m(1, 3), 20.0);  // rxs far apart
 
-  const GeneratedTopology dense = make_preset(Preset::kDenseCell, rng);
+  const GeneratedTopology dense = make_preset(Preset::kDenseCell);
   EXPECT_EQ(dense.scenario.nodes[0].n_antennas, 4u);
   EXPECT_EQ(dense.scenario.links_of(0).size(), 4u);
   EXPECT_EQ(dense.scenario.links.size(), 5u);
@@ -177,26 +176,21 @@ TEST(ScenarioGen, PresetsHavePinnedShapes) {
 
 // --- Sparse world -------------------------------------------------------
 
-TEST(SparseWorld, MaterializesExactlyTxRxPairs) {
-  GenConfig cfg;
-  cfg.n_links = 6;
-  util::Rng rng(7);
-  const GeneratedTopology topo = generate_topology(cfg, rng);
-  util::Rng wrng(8);
-  const World w = make_world(topo, wrng);
-  // Every transmitter-to-receiver pair (not just same-link pairs) exists:
-  // the round builder needs cross-link interference channels.
-  for (std::size_t a = 0; a < topo.roles.size(); ++a) {
-    for (std::size_t b = 0; b < topo.roles.size(); ++b) {
+// Every transmitter-to-receiver pair (not just same-link pairs) exists:
+// the round builder needs cross-link interference channels.
+void expect_exactly_tx_rx_pairs(const World& w,
+                                const std::vector<std::uint8_t>& roles) {
+  for (std::size_t a = 0; a < roles.size(); ++a) {
+    for (std::size_t b = 0; b < roles.size(); ++b) {
       if (a == b) continue;
-      if ((topo.roles[a] & kRoleTx) && (topo.roles[b] & kRoleRx)) {
+      if ((roles[a] & kRoleTx) && (roles[b] & kRoleRx)) {
         const linalg::CMat h = w.channel(a, b, 0);
         EXPECT_EQ(h.rows(), w.antennas(b));
         EXPECT_EQ(h.cols(), w.antennas(a));
         EXPECT_GT(w.link_snr_db(a, b), -300.0);
         const linalg::CMat r = w.reciprocal_channel(a, b, 0);
         EXPECT_EQ(r.rows(), w.antennas(b));
-      } else if (!(topo.roles[b] & kRoleTx)) {
+      } else if (!(roles[b] & kRoleTx)) {
         // rx-rx pair: unmaterialized, SNR stays at the floor.
         EXPECT_DOUBLE_EQ(w.link_snr_db(a, b), -300.0);
       }
@@ -204,9 +198,32 @@ TEST(SparseWorld, MaterializesExactlyTxRxPairs) {
   }
 }
 
+TEST(SparseWorld, MaterializesExactlyTxRxPairs) {
+  GenConfig cfg;
+  cfg.n_links = 6;
+  util::Rng rng(7);
+  const GeneratedTopology topo = generate_topology(cfg, rng);
+  util::Rng wrng(8);
+  expect_exactly_tx_rx_pairs(make_world(topo, wrng), topo.roles);
+  // Both paper scenarios placed on the testbed, a handful of seeds: the
+  // same sparse world, and the redraw leaves every link at or above the
+  // SNR floor.
+  for (const Scenario& sc : {three_pair_scenario(), ap_scenario()}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      util::Rng placement_rng(seed);
+      util::Rng world_rng(seed + 100);
+      const World w = place_on_testbed(sc, placement_rng, world_rng);
+      expect_exactly_tx_rx_pairs(w, node_roles(sc));
+      for (const Link& l : sc.links) {
+        EXPECT_GE(w.link_snr_db(l.tx_node, l.rx_node), kMinLinkSnrDb)
+            << "seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(SparseWorld, EmptyRolesStaysDense) {
-  util::Rng rng(9);
-  const GeneratedTopology topo = make_preset(Preset::kThreePair, rng);
+  const GeneratedTopology topo = make_preset(Preset::kThreePair);
   util::Rng wrng(10);
   // No roles: even rx-rx channels exist (the historical behavior).
   const World w(topo.testbed, topo.scenario.nodes, topo.locations, wrng);
@@ -254,7 +271,7 @@ class SessionSuite : public ::testing::Test {
  protected:
   World preset_world(std::uint64_t seed, Preset preset = Preset::kThreePair) {
     util::Rng rng(seed);
-    topo_ = make_preset(preset, rng);
+    topo_ = make_preset(preset);
     util::Rng wrng = rng.fork(1);
     return make_world(topo_, wrng);
   }
@@ -400,10 +417,20 @@ TEST(GeneratedSweep, BitIdenticalAcrossThreadCounts) {
   std::vector<SweepItem> items(3, item);
   items[1].gen.n_links = 5;
   items[2].gen.pattern = LinkPattern::kApDownlink;
+  // Fig. 13's scenario placed on the testbed, one placement, three schemes.
+  for (const Scheme scheme :
+       {Scheme::kNplus, Scheme::kDot11n, Scheme::kBeamforming}) {
+    SweepItem placed = item;
+    placed.on_testbed = ap_scenario();
+    placed.stream = 3;
+    placed.session.round = RoundConfig{};
+    placed.session.scheme = scheme;
+    items.push_back(placed);
+  }
   const auto a = run_sweep(items, 2026, 1);
   const auto b = run_sweep(items, 2026, 2);
   const auto c = run_sweep(items, 2026, 5);
-  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(a.size(), items.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].total_mbps, b[i].total_mbps);
     EXPECT_DOUBLE_EQ(a[i].total_mbps, c[i].total_mbps);

@@ -16,7 +16,6 @@
 #include "linalg/subspace.h"
 #include "sim/faults.h"
 #include "sim/round.h"
-#include "sim/runner.h"
 #include "sim/rx_math.h"
 #include "sim/scenario_gen.h"
 #include "sim/scenarios.h"
@@ -508,62 +507,21 @@ TEST(IsolatedTx, MuBeamformingSeparatesClients) {
   GTEST_SKIP() << "no strong placement";
 }
 
-TEST(Runner, SamplesHaveExpectedShape) {
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 5;
-  cfg.rounds_per_placement = 2;
-  const SupervisedExperiment exp = run_experiment(
-      tb, sc, cfg,
-      {make_nplus_round_fn(sc, cfg.round),
-       baselines::make_dot11n_round_fn(sc, cfg.round)});
-  ASSERT_TRUE(exp.report.all_ok()) << exp.report.summary();
-  const std::vector<MethodResult>& results = exp.methods;
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& m : results) {
-    ASSERT_EQ(m.samples.size(), 5u);
-    for (const auto& s : m.samples) {
-      EXPECT_EQ(s.per_link_mbps.size(), 3u);
-      double total = 0.0;
-      for (double v : s.per_link_mbps) total += v;
-      EXPECT_NEAR(total, s.total_mbps, 1e-9);
-    }
-  }
-}
-
-TEST(Runner, DeterministicAcrossRuns) {
-  const channel::Testbed tb;
-  const Scenario sc = three_pair_scenario();
-  ExperimentConfig cfg;
-  cfg.n_placements = 3;
-  cfg.rounds_per_placement = 2;
-  cfg.seed = 77;
-  const SupervisedExperiment a =
-      run_experiment(tb, sc, cfg, {make_nplus_round_fn(sc, cfg.round)});
-  const SupervisedExperiment b =
-      run_experiment(tb, sc, cfg, {make_nplus_round_fn(sc, cfg.round)});
-  ASSERT_TRUE(a.report.all_ok() && b.report.all_ok());
-  for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_DOUBLE_EQ(a.methods[0].samples[p].total_mbps,
-                     b.methods[0].samples[p].total_mbps);
-  }
-}
-
 TEST(Baselines, Dot11nSingleLinkPerRound) {
   util::Rng rng(19);
   const channel::Testbed tb;
   const Scenario sc = three_pair_scenario();
   const auto locs = tb.random_placement(sc.nodes.size(), rng);
   const World w(tb, sc.nodes, locs, rng, {});
-  const auto fn = baselines::make_dot11n_round_fn(sc, {});
   for (int i = 0; i < 20; ++i) {
-    const auto round = fn(w, rng);
+    const RoundResult round =
+        baselines::run_dot11n_round(w, sc, rng, RoundConfig{});
     int active = 0;
-    for (double bits : round.delivered_bits) {
-      if (bits > 0) ++active;
+    for (const LinkOutcome& link : round.links) {
+      if (link.delivered_bits > 0) ++active;
     }
     EXPECT_LE(active, 1);
+    EXPECT_EQ(round.winner_order.size(), 1u);
     EXPECT_GT(round.duration_s, 0.0);
   }
 }
@@ -572,13 +530,18 @@ TEST(Baselines, BeamformingServesBothClientsWhenApWins) {
   util::Rng rng(20);
   const channel::Testbed tb;
   const Scenario sc = ap_scenario();
-  const auto fn = baselines::make_beamforming_round_fn(sc, {});
   int both = 0;
   for (int i = 0; i < 200; ++i) {
     const auto locs = tb.random_placement(sc.nodes.size(), rng);
     const World w(tb, sc.nodes, locs, rng, {});
-    const auto round = fn(w, rng);
-    if (round.delivered_bits[1] > 0 && round.delivered_bits[2] > 0) ++both;
+    const RoundResult round =
+        baselines::run_beamforming_round(w, sc, rng, RoundConfig{});
+    if (round.links[1].delivered_bits > 0 &&
+        round.links[2].delivered_bits > 0) {
+      ++both;
+      EXPECT_EQ(round.winner_order, std::vector<std::size_t>{2});
+      EXPECT_GE(round.total_streams, 2u);
+    }
   }
   EXPECT_GT(both, 12);  // AP wins ~half the rounds, channels often good
 }
