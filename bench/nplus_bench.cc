@@ -9,7 +9,7 @@
 //
 //   ./nplus-bench CONFIG.cfg [--out FILE] [--trace FILE] [--timing FILE]
 //                 [--threads N] [--checkpoint FILE] [--resume FILE]
-//                 [--checkpoint-every K] [--watchdog SECONDS] [--retries N]
+//                 [--checkpoint-every K] [--watchdog SECONDS]
 //                 [--kill-after N]
 //
 // Config format (bench/README.md is the key reference): `key = value`
@@ -41,7 +41,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -504,7 +503,7 @@ void json_session(std::string& out, const sim::SessionResult& s,
 constexpr const char* kUsage =
     "CONFIG.cfg [--out FILE] [--trace FILE] [--timing FILE] [--threads N] "
     "[--checkpoint FILE] [--resume FILE] [--checkpoint-every K] "
-    "[--watchdog SECONDS] [--retries N] [--kill-after N]";
+    "[--watchdog SECONDS] [--kill-after N]";
 
 int run_bench(int argc, char** argv) {
   util::init_threads_from_cli(argc, argv, /*strict=*/true);
@@ -529,14 +528,6 @@ int run_bench(int argc, char** argv) {
           "--watchdog needs a finite number of seconds >= 0 (0 = off)");
     }
     rcfg.supervisor.watchdog_s = *v;
-  }
-  if (const auto v = util::take_size_option(argc, argv, "--retries")) {
-    // max_attempts is an int holding 1 + N.
-    if (*v >= static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-      throw util::UsageError("--retries must be below " +
-                             std::to_string(std::numeric_limits<int>::max()));
-    }
-    rcfg.supervisor.max_attempts = 1 + static_cast<int>(*v);
   }
   if (const auto v = util::take_size_option(argc, argv, "--kill-after")) {
     rcfg.kill_after = *v;
@@ -648,8 +639,12 @@ int run_bench(int argc, char** argv) {
     std::string tj = "{\"name\": \"" + util::json_escape(cfg.name) + "\"";
     tj += ", \"wall_s\": " + util::json_double(sweep_wall_s);
     tj += ", \"sessions\": " + std::to_string(outcome.results.size()) + "}\n";
-    std::fwrite(tj.data(), 1, tj.size(), tf);
-    std::fclose(tf);
+    const bool wrote_timing =
+        std::fwrite(tj.data(), 1, tj.size(), tf) == tj.size();
+    if (std::fclose(tf) != 0 || !wrote_timing) {
+      std::fprintf(stderr, "short write to %s\n", timing_opt->c_str());
+      return 1;
+    }
   }
   std::printf("sweep wall clock: %.2f s\n", sweep_wall_s);
 

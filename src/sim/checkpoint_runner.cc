@@ -202,9 +202,6 @@ CheckpointedRunner::CheckpointedRunner(std::vector<SweepItem> items,
     throw std::invalid_argument(
         "CheckpointedRunner: checkpoint_every must be >= 1");
   }
-  if (cfg_.supervisor.stream_label.empty()) {
-    cfg_.supervisor.stream_label = "seed " + std::to_string(seed_);
-  }
 }
 
 SweepOutcome CheckpointedRunner::run() {
@@ -214,8 +211,8 @@ SweepOutcome CheckpointedRunner::run() {
   out.completed.assign(n, 0);
 
   // The determinism anchor: the same fork-before-dispatch table
-  // ThreadPool::run_seeded builds, saved in immutable form so each attempt
-  // of an item (retry or resume) restores a pristine copy of its stream.
+  // ThreadPool::run_seeded builds, saved in immutable form so every run of
+  // an item (fresh or resumed) restores a pristine copy of its stream.
   // Stream s is always the master's (s + 1)-th fork, so an item that names
   // stream s draws exactly what item s would by default.
   std::vector<util::Rng::State> table(n);
@@ -313,8 +310,7 @@ SweepOutcome CheckpointedRunner::run() {
       [&](std::size_t i, util::CancelToken& token) {
         if (halted.load(std::memory_order_relaxed)) return;
         // Restore a fresh copy of the pre-forked stream, fork
-        // topology/world/session off it, generate or place, build, run. Any
-        // retry starts from the same state.
+        // topology/world/session off it, generate or place, build, run.
         const SweepItem& item = items_[i];
         util::Rng rng = util::Rng::restore(table[i]);
         util::Rng gen_rng = rng.fork(1);
@@ -367,6 +363,12 @@ SweepOutcome CheckpointedRunner::run() {
         }
       },
       &skip);
+  // Name each quarantined item's stream so it can be replayed alone.
+  for (util::ItemFailure& f : out.report.failures) {
+    f.stream = "fork(" +
+               std::to_string(items_[f.index].stream.value_or(f.index) + 1) +
+               ") of seed " + std::to_string(seed_);
+  }
 
   if (checkpointing && fresh > last_written) {
     std::lock_guard<std::mutex> lock(mu);

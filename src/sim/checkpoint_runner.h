@@ -12,7 +12,8 @@
 //
 //   * a throwing item is quarantined into the FailureReport and the sweep
 //     completes with partial results (the failed slot keeps a
-//     default-constructed SessionResult);
+//     default-constructed SessionResult); its ItemFailure::stream names
+//     the stream it drew from, "fork(s+1) of seed N";
 //   * with a watchdog budget, a stuck item is cooperatively cancelled
 //     through SessionConfig::cancel and recorded as timed out;
 //   * every completed result passes the runtime invariant audit
@@ -23,9 +24,9 @@
 //     restores them bit-exactly, skips their items, and produces output
 //     byte-identical to an uninterrupted run at any thread count.
 //
-// Determinism: each attempt of an item copies its immutable stream-table
-// entry, so retries, resumes, and any thread count all replay the same
-// draws. Callers that need every item check SweepOutcome::complete().
+// Determinism: each run of an item copies its immutable stream-table
+// entry, so resumes and any thread count replay the same draws. Callers
+// that need every item check SweepOutcome::complete().
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,7 @@ class TraceCollector;
 namespace nplus::sim {
 
 struct RunnerConfig {
-  // Supervision knobs (threads, watchdog budget, transient retries).
+  // Supervision knobs (threads, watchdog budget).
   util::SupervisorConfig supervisor{};
   // Run the invariant auditor over every completed result; violations are
   // quarantined like exceptions (FailureKind::kInvariant).

@@ -41,7 +41,7 @@ std::optional<std::string> take_option(int& argc, char** argv,
                                        const char* name);
 
 // take_option + numeric parse; throws UsageError on garbage, sign errors,
-// or trailing junk ("--retries 3x").
+// or trailing junk ("--kill-after 3x").
 std::optional<std::size_t> take_size_option(int& argc, char** argv,
                                             const char* name);
 std::optional<double> take_double_option(int& argc, char** argv,

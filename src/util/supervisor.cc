@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
-#include <limits>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -38,9 +36,7 @@ std::string FailureReport::summary() const {
      << count(FailureKind::kTimeout) << " timeout, "
      << count(FailureKind::kInvariant) << " invariant)";
   for (const auto& f : failures) {
-    os << "\n  item " << f.index << " [" << failure_kind_name(f.kind);
-    if (f.attempts > 1) os << ", " << f.attempts << " attempts";
-    os << "]";
+    os << "\n  item " << f.index << " [" << failure_kind_name(f.kind) << "]";
     if (!f.stream.empty()) os << " stream " << f.stream;
     os << ": " << f.what;
   }
@@ -63,16 +59,6 @@ struct alignas(64) WatchSlot {
   CancelToken token;
 };
 
-std::string describe_current_exception() {
-  try {
-    throw;
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown exception (not derived from std::exception)";
-  }
-}
-
 }  // namespace
 
 FailureReport Supervisor::run(std::size_t n_items, const Body& body,
@@ -94,8 +80,8 @@ FailureReport Supervisor::run(std::size_t n_items, const Body& body,
   std::thread monitor;
   if (cfg_.watchdog_s > 0.0) {
     monitor = std::thread([&] {
-      const auto poll = std::chrono::duration<double>(
-          std::max(cfg_.watchdog_poll_s, 1e-4));
+      const auto poll =
+          std::chrono::duration<double>(std::min(0.01, cfg_.watchdog_s / 10.0));
       while (!monitor_stop.load(std::memory_order_relaxed)) {
         const double now = steady_now_s();
         for (auto& slot : slots) {
@@ -109,85 +95,41 @@ FailureReport Supervisor::run(std::size_t n_items, const Body& body,
   }
 
   std::mutex report_m;
-  std::atomic<std::size_t> ok{0}, skipped{0}, retries{0};
-
-  const auto record = [&](std::size_t i, FailureKind kind, std::string what,
-                          int attempts) {
-    ItemFailure f;
-    f.index = i;
-    f.kind = kind;
-    f.what = std::move(what);
-    f.attempts = attempts;
-    if (!cfg_.stream_label.empty()) {
-      f.stream = "fork(" + std::to_string(i + 1) + ") of " +
-                 cfg_.stream_label;
-    }
-    std::lock_guard<std::mutex> lk(report_m);
-    report.failures.push_back(std::move(f));
-  };
-
   ThreadPool::run(
       cfg_.n_threads, 0, n_items, [&](std::size_t i, std::size_t worker) {
-        if (skip != nullptr && i < skip->size() && (*skip)[i] != 0) {
-          skipped.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
+        if (skip != nullptr && i < skip->size() && (*skip)[i] != 0) return;
         WatchSlot& slot = slots[worker];
-        const int max_attempts = std::max(cfg_.max_attempts, 1);
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-          slot.token.reset();
-          if (cfg_.watchdog_s > 0.0) {
-            slot.deadline_s.store(steady_now_s() + cfg_.watchdog_s,
-                                  std::memory_order_relaxed);
-          }
-          try {
-            body(i, slot.token);
-            slot.deadline_s.store(-1.0, std::memory_order_relaxed);
-            ok.fetch_add(1, std::memory_order_relaxed);
-            return;
-          } catch (const TransientError& e) {
-            slot.deadline_s.store(-1.0, std::memory_order_relaxed);
-            if (slot.token.cancelled()) {
-              // The watchdog fired while the failure unwound: the budget
-              // is spent either way, and retrying a timed-out item would
-              // wedge the bench again.
-              record(i, FailureKind::kTimeout, e.what(), attempt);
-              return;
-            }
-            if (attempt == max_attempts) {
-              record(i, FailureKind::kException,
-                     std::string("transient, retries exhausted: ") + e.what(),
-                     attempt);
-              return;
-            }
-            retries.fetch_add(1, std::memory_order_relaxed);
-            if (cfg_.retry_backoff_s > 0.0) {
-              const double backoff =
-                  cfg_.retry_backoff_s * static_cast<double>(1 << (attempt - 1));
-              std::this_thread::sleep_for(
-                  std::chrono::duration<double>(backoff));
-            }
-          } catch (const TimeoutError& e) {
-            slot.deadline_s.store(-1.0, std::memory_order_relaxed);
-            record(i, FailureKind::kTimeout, e.what(), attempt);
-            return;
-          } catch (const InvariantError& e) {
-            slot.deadline_s.store(-1.0, std::memory_order_relaxed);
-            record(i, FailureKind::kInvariant, e.what(), attempt);
-            return;
-          } catch (...) {
-            slot.deadline_s.store(-1.0, std::memory_order_relaxed);
-            const std::string what = describe_current_exception();
-            // An exception thrown after the watchdog fired is almost
-            // always the cancellation unwinding through code that wraps
-            // or translates TimeoutError; classify it by its cause.
-            record(i,
-                   slot.token.cancelled() ? FailureKind::kTimeout
-                                          : FailureKind::kException,
-                   what, attempt);
-            return;
-          }
+        slot.token.reset();
+        if (cfg_.watchdog_s > 0.0) {
+          slot.deadline_s.store(steady_now_s() + cfg_.watchdog_s,
+                                std::memory_order_relaxed);
         }
+        ItemFailure f;
+        f.index = i;
+        try {
+          body(i, slot.token);
+          slot.deadline_s.store(-1.0, std::memory_order_relaxed);
+          return;
+        } catch (const TimeoutError& e) {
+          f.kind = FailureKind::kTimeout;
+          f.what = e.what();
+        } catch (const InvariantError& e) {
+          f.kind = FailureKind::kInvariant;
+          f.what = e.what();
+        } catch (const std::exception& e) {
+          f.what = e.what();
+        } catch (...) {
+          f.what = "unknown exception (not derived from std::exception)";
+        }
+        slot.deadline_s.store(-1.0, std::memory_order_relaxed);
+        // An exception thrown after the watchdog fired is almost always
+        // the cancellation unwinding through code that wraps or translates
+        // TimeoutError; classify it by its cause.
+        if (f.kind == FailureKind::kException && slot.token.cancelled()) {
+          f.kind = FailureKind::kTimeout;
+        }
+        std::lock_guard<std::mutex> lk(report_m);
+        report.failures.push_back(std::move(f));
       });
 
   if (monitor.joinable()) {
@@ -195,9 +137,6 @@ FailureReport Supervisor::run(std::size_t n_items, const Body& body,
     monitor.join();
   }
 
-  report.n_ok = ok.load();
-  report.n_skipped = skipped.load();
-  report.retries = retries.load();
   std::sort(report.failures.begin(), report.failures.end(),
             [](const ItemFailure& a, const ItemFailure& b) {
               return a.index < b.index;

@@ -5,10 +5,9 @@
 // the entire sweep, and a wedged item blocks the join forever. The
 // Supervisor runs the same index range with per-item structured error
 // capture — a failed item is quarantined into a FailureReport (index,
-// exception text, attempt count, failure kind) and every other item still
-// completes — plus an optional per-item wall-clock watchdog (a monitor
-// thread cancels over-budget items through a cooperative CancelToken) and
-// an opt-in bounded retry-with-backoff for failures flagged transient.
+// exception text, failure kind) and every other item still completes —
+// plus an optional per-item wall-clock watchdog (a monitor thread cancels
+// over-budget items through a cooperative CancelToken).
 //
 // Cancellation is cooperative by design: the monitor cannot kill a thread,
 // it can only raise the item's CancelToken. Long-running bodies poll the
@@ -27,6 +26,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -48,16 +48,8 @@ class CancelToken {
 };
 
 // Thrown by cancellation points when their CancelToken fired. The
-// Supervisor records it as FailureKind::kTimeout (never retried — a
-// degenerate item would only wedge the bench again).
+// Supervisor records it as FailureKind::kTimeout.
 struct TimeoutError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-// Failures an item flags as worth retrying (resource exhaustion, races
-// with external state). Retried up to SupervisorConfig::max_attempts with
-// exponential backoff; any other exception quarantines immediately.
-struct TransientError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
@@ -69,7 +61,7 @@ struct InvariantError : std::runtime_error {
 };
 
 enum class FailureKind {
-  kException,  // body threw (non-transient, or transient retries exhausted)
+  kException,  // body threw
   kTimeout,    // watchdog cancelled the item past its wall-clock budget
   kInvariant,  // the item's result failed a runtime invariant audit
 };
@@ -79,18 +71,17 @@ const char* failure_kind_name(FailureKind kind);
 struct ItemFailure {
   std::size_t index = 0;
   FailureKind kind = FailureKind::kException;
-  std::string what;    // exception text / violated invariants
-  std::string stream;  // RNG-stream label, e.g. "fork(6) of seed 7"
-  int attempts = 1;    // how many times the item was tried
+  std::string what;  // exception text / violated invariants
+  // RNG-stream label, e.g. "fork(6) of seed 7", so the item can be
+  // replayed in isolation; filled by the caller that owns the streams
+  // (sim::CheckpointedRunner), empty from a bare Supervisor.
+  std::string stream;
 };
 
 // The quarantine ledger of one supervised run.
 struct FailureReport {
   std::vector<ItemFailure> failures;  // sorted by item index
   std::size_t n_items = 0;            // items offered to the run
-  std::size_t n_ok = 0;               // bodies that returned normally
-  std::size_t n_skipped = 0;          // pre-completed items (resume)
-  std::size_t retries = 0;            // extra attempts across all items
 
   bool all_ok() const { return failures.empty(); }
   std::size_t count(FailureKind kind) const;
@@ -103,18 +94,9 @@ struct SupervisorConfig {
   std::size_t n_threads = 0;
   // Per-item wall-clock budget in seconds; 0 disables the watchdog (no
   // monitor thread is started at all, keeping the zero-failure path free).
+  // The monitor wakes every min(10 ms, watchdog_s / 10), so a timeout
+  // fires at most that long after the budget runs out.
   double watchdog_s = 0.0;
-  // Monitor wake-up granularity; timeouts fire within one poll of the
-  // budget.
-  double watchdog_poll_s = 0.01;
-  // Total attempts per item (1 = no retry). Only TransientError retries.
-  int max_attempts = 1;
-  // Backoff before attempt k+1: retry_backoff_s * 2^(k-1) wall seconds.
-  double retry_backoff_s = 0.05;
-  // Optional label for ItemFailure::stream, e.g. "seed 7": recorded as
-  // "fork(i+1) of <stream_label>" so a quarantined item can be replayed in
-  // isolation.
-  std::string stream_label;
 };
 
 class Supervisor {
@@ -127,8 +109,7 @@ class Supervisor {
   // are neither run nor counted as failures (the checkpoint/resume hook).
   //
   // The body owns all determinism obligations (pre-forked streams, write
-  // by index) and must be re-runnable per attempt when max_attempts > 1:
-  // every attempt must start from the same immutable inputs.
+  // by index).
   using Body = std::function<void(std::size_t, CancelToken&)>;
   FailureReport run(std::size_t n_items, const Body& body,
                     const std::vector<std::uint8_t>* skip = nullptr) const;

@@ -1,44 +1,9 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <limits>
-#include <sstream>
-#include <utility>
+#include <memory>
 
 namespace nplus::util {
-
-namespace {
-
-std::string parallel_error_message(
-    const std::vector<ParallelItemError>& errors) {
-  std::ostringstream os;
-  os << "parallel_for: " << errors.size() << " iterations threw";
-  constexpr std::size_t kMaxListed = 8;
-  for (std::size_t i = 0; i < errors.size() && i < kMaxListed; ++i) {
-    os << "; item " << errors[i].index << ": " << errors[i].what;
-  }
-  if (errors.size() > kMaxListed) {
-    os << "; ... " << errors.size() - kMaxListed << " more";
-  }
-  return os.str();
-}
-
-std::string describe_current_exception() {
-  try {
-    throw;
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown exception (not derived from std::exception)";
-  }
-}
-
-}  // namespace
-
-ParallelError::ParallelError(std::vector<ParallelItemError> errors)
-    : std::runtime_error(parallel_error_message(errors)),
-      errors_(std::move(errors)) {}
 
 namespace {
 
@@ -66,17 +31,8 @@ std::size_t default_thread_count() {
   return hw > 0 ? hw : 1;
 }
 
-// One contiguous chunk of the iteration range, owned by one worker.
-// Padded so neighbouring shards never share a cache line.
-struct alignas(64) ThreadPool::Shard {
-  std::mutex m;
-  std::size_t next = 0;  // first unclaimed index
-  std::size_t last = 0;  // one past the final index
-};
-
 ThreadPool::ThreadPool(std::size_t n_threads)
     : n_threads_(n_threads == 0 ? default_thread_count() : n_threads) {
-  shards_ = std::make_unique<Shard[]>(n_threads_);
   threads_.reserve(n_threads_ - 1);
   for (std::size_t w = 1; w < n_threads_; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -111,73 +67,22 @@ void ThreadPool::worker_main(std::size_t worker) {
 }
 
 void ThreadPool::work(std::size_t worker) {
-  constexpr auto kNone = std::numeric_limits<std::size_t>::max();
-  Shard& own = shards_[worker];
-  for (;;) {
-    std::size_t i = kNone;
-    {
-      std::lock_guard<std::mutex> lk(own.m);
-      if (own.next < own.last) i = own.next++;
-    }
-    if (i == kNone) {
-      if (!try_steal(worker)) return;
-      continue;
-    }
-    if (cancel_.load(std::memory_order_relaxed)) return;
+  // Cancellation is checked before a claim, never between a claim and its
+  // run: the indices that ran are always a prefix of the range, so the
+  // lowest failing index is the one the serial loop would have hit first.
+  while (!cancel_.load(std::memory_order_relaxed)) {
+    const std::size_t i = next_.fetch_add(1);
+    if (i >= end_) return;
     try {
       (*body_)(i, worker);
     } catch (...) {
-      ParallelItemError e;
-      e.index = i;
-      e.what = describe_current_exception();
-      e.error = std::current_exception();
       std::lock_guard<std::mutex> lk(m_);
-      errors_.push_back(std::move(e));
+      if (!error_ || i < error_index_) {
+        error_ = std::current_exception();
+        error_index_ = i;
+      }
       cancel_.store(true, std::memory_order_relaxed);
     }
-  }
-}
-
-bool ThreadPool::try_steal(std::size_t thief) {
-  // Victim choice: the shard with the most unclaimed work (each sampled
-  // under its own lock; the choice can still go stale, so the take below
-  // re-checks). Taking the *back* half leaves the owner its cache-warm
-  // front.
-  for (;;) {
-    std::size_t victim = thief;
-    std::size_t best = 0;
-    for (std::size_t w = 0; w < n_threads_; ++w) {
-      if (w == thief) continue;
-      Shard& s = shards_[w];
-      std::size_t remaining;
-      {
-        std::lock_guard<std::mutex> lk(s.m);
-        remaining = s.last > s.next ? s.last - s.next : 0;
-      }
-      if (remaining > best) {
-        best = remaining;
-        victim = w;
-      }
-    }
-    if (victim == thief) return false;  // everyone looks empty
-
-    Shard& v = shards_[victim];
-    std::size_t lo = 0, hi = 0;
-    {
-      std::lock_guard<std::mutex> lk(v.m);
-      if (v.next < v.last) {
-        const std::size_t take = (v.last - v.next + 1) / 2;
-        hi = v.last;
-        lo = v.last - take;
-        v.last = lo;
-      }
-    }
-    if (lo == hi) continue;  // lost the race; rescan
-    Shard& own = shards_[thief];
-    std::lock_guard<std::mutex> lk(own.m);
-    own.next = lo;
-    own.last = hi;
-    return true;
   }
 }
 
@@ -196,21 +101,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   std::lock_guard<std::mutex> dispatch_lock(dispatch_m_);
   {
     std::lock_guard<std::mutex> lk(m_);
-    // Contiguous block partition; workers beyond n get empty shards and go
-    // straight to stealing.
-    const std::size_t base = n / n_threads_;
-    const std::size_t extra = n % n_threads_;
-    std::size_t at = begin;
-    for (std::size_t w = 0; w < n_threads_; ++w) {
-      const std::size_t len = base + (w < extra ? 1 : 0);
-      std::lock_guard<std::mutex> sk(shards_[w].m);
-      shards_[w].next = at;
-      shards_[w].last = at + len;
-      at += len;
-    }
     body_ = &body;
-    errors_.clear();
+    end_ = end;
+    next_.store(begin);
     cancel_.store(false, std::memory_order_relaxed);
+    error_ = nullptr;
     active_ = n_threads_;
     ++job_;
   }
@@ -221,24 +116,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     work(0);
   }
 
-  std::vector<ParallelItemError> errors;
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(m_);
     --active_;
     done_cv_.wait(lk, [&] { return active_ == 0; });
     body_ = nullptr;
-    errors.swap(errors_);
+    error.swap(error_);
   }
-  if (errors.empty()) return;
-  std::sort(errors.begin(), errors.end(),
-            [](const ParallelItemError& a, const ParallelItemError& b) {
-              return a.index < b.index;
-            });
-  // One failure: rethrow the caller's own exception type (config
-  // validation errors etc. keep their concrete type). Several: nothing is
-  // dropped — the aggregate carries every (index, exception) pair.
-  if (errors.size() == 1) std::rethrow_exception(errors[0].error);
-  throw ParallelError(std::move(errors));
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

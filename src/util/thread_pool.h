@@ -1,13 +1,11 @@
-// Work-stealing thread pool for the experiment harness.
+// Thread pool for the experiment harness.
 //
-// The simulator's outer loops (placements, signal-experiment trials) are
+// The simulator's outer loops (sweep items, signal-experiment trials) are
 // embarrassingly parallel once each iteration owns a pre-forked RNG stream,
-// so the pool exposes a blocking `parallel_for` rather than a futures API:
-// the index range is split into one contiguous shard per worker (preserving
-// cache locality of neighbouring placements), each worker drains its own
-// shard front-to-back, and a worker that runs dry steals the back half of
-// the richest remaining shard. Iterations vary wildly in cost (a placement
-// redraws up to 50 worlds), which is exactly the imbalance stealing absorbs.
+// so the pool exposes a blocking `parallel_for` rather than a futures API.
+// Workers claim indices one at a time from a shared atomic cursor, so a
+// costly item (a placement redraws up to 50 worlds) only delays the worker
+// that claimed it; the others keep claiming.
 //
 // Determinism contract: `parallel_for(begin, end, body)` calls
 // `body(i, worker)` exactly once for every i in [begin, end), in an
@@ -21,7 +19,8 @@
 // n-1 OS threads, and a pool of 1 runs entirely inline (no threads, no
 // locks) — the serial path is the parallel path with n = 1, not separate
 // code. Nested `parallel_for` calls from inside a worker run inline for the
-// same reason.
+// same reason. Workers persist across calls, so thread_local workspaces
+// (phy/) outlive a single sweep.
 #pragma once
 
 #include <atomic>
@@ -30,10 +29,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,27 +43,6 @@ namespace nplus::util {
 // call so tests can adjust the environment.
 std::size_t default_thread_count();
 
-// One worker exception, with the iteration index it came from.
-struct ParallelItemError {
-  std::size_t index = 0;
-  std::string what;
-  std::exception_ptr error;
-};
-
-// Aggregate thrown by parallel_for when SEVERAL iterations failed: every
-// worker exception is collected with its item index instead of all but the
-// first being dropped. A single failing iteration still rethrows its
-// original exception untouched (callers keep catching the concrete type);
-// this type only appears when concurrent failures genuinely overlapped.
-class ParallelError : public std::runtime_error {
- public:
-  explicit ParallelError(std::vector<ParallelItemError> errors);
-  const std::vector<ParallelItemError>& errors() const { return errors_; }
-
- private:
-  std::vector<ParallelItemError> errors_;
-};
-
 class ThreadPool {
  public:
   // n_threads == 0 means default_thread_count().
@@ -79,10 +54,11 @@ class ThreadPool {
   std::size_t n_threads() const { return n_threads_; }
 
   // body(index, worker) with worker in [0, n_threads()). Blocks until every
-  // index has run. If a body throws, remaining workers drain (they skip
-  // further iterations) and the error is rethrown here: the original
-  // exception when exactly one iteration failed, a ParallelError carrying
-  // every (index, exception) pair when several did.
+  // claimed index has run. After a body throws, workers stop claiming new
+  // indices; the ones already claimed still run, so the indices that ran
+  // are always a prefix of the range. The original exception of the lowest
+  // failing index is then rethrown here — for deterministic bodies, exactly
+  // what the serial loop would throw.
   // Concurrent top-level calls on the same pool are serialized (the second
   // dispatcher blocks until the first job completes); calls from inside a
   // worker run inline.
@@ -123,15 +99,11 @@ class ThreadPool {
   }
 
  private:
-  struct Shard;
-
   void worker_main(std::size_t worker);
-  // Drains own shard, then steals; returns when no work is left anywhere.
+  // Claims and runs indices until the range is exhausted or cancelled.
   void work(std::size_t worker);
-  bool try_steal(std::size_t thief);
 
   std::size_t n_threads_ = 1;
-  std::unique_ptr<Shard[]> shards_;
   std::vector<std::thread> threads_;
 
   std::mutex dispatch_m_;  // serializes top-level parallel_for callers
@@ -142,10 +114,11 @@ class ThreadPool {
   std::uint64_t job_ = 0;          // bumped per parallel_for dispatch
   std::size_t active_ = 0;         // participants not yet finished
   bool stop_ = false;
-  std::atomic<bool> cancel_{false};  // set on first exception; workers bail
-  // Every exception a worker caught this job, with its item index. One
-  // entry rethrows the original; several throw a ParallelError aggregate.
-  std::vector<ParallelItemError> errors_;
+  std::size_t end_ = 0;               // one past the job's last index
+  std::atomic<std::size_t> next_{0};  // the next unclaimed index
+  std::atomic<bool> cancel_{false};   // set on the first exception
+  std::exception_ptr error_;          // lowest failing index's exception
+  std::size_t error_index_ = 0;       // that index (error_ and it: m_)
 };
 
 }  // namespace nplus::util

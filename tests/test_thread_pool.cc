@@ -1,5 +1,5 @@
-// Tests for util::ThreadPool: coverage, stealing under imbalance, nested
-// dispatch, exception propagation, and the global-pool
+// Tests for util::ThreadPool: coverage, balance under front-loaded cost,
+// nested dispatch, exception propagation, and the global-pool
 // configuration knobs. These run under the `tsan` ctest label so a
 // ThreadSanitizer build (cmake -DNPLUS_SANITIZE=thread) exercises them.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,11 +70,10 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   EXPECT_TRUE(same_thread);
 }
 
-TEST(ThreadPool, StealsFromUnbalancedShards) {
-  // Front-loaded cost: the first quarter of the range does all the work.
-  // With static contiguous partitioning alone, worker 0 would run ~4x
-  // longer than the rest; stealing must still cover everything exactly
-  // once (checked) and keep the pool deadlock-free with tiny shards.
+TEST(ThreadPool, FrontLoadedCostCoversEveryIndexOnce) {
+  // Front-loaded cost: the first quarter of the range does all the work,
+  // so the workers holding the slow indices fall behind while the others
+  // claim the cheap tail. Every index must still run exactly once.
   ThreadPool pool(4);
   const std::size_t n = 64;
   std::vector<std::atomic<int>> hits(n);
@@ -111,6 +111,45 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 100u);
+}
+
+// Thrown by the failing indices below; carries the index that threw.
+struct ItemError : std::runtime_error {
+  explicit ItemError(std::size_t i)
+      : std::runtime_error("item " + std::to_string(i)), index(i) {}
+  std::size_t index;
+};
+
+TEST(ThreadPool, RethrowsTheLowestFailingIndexAtEveryThreadCount) {
+  // Index 5 fails slowly and every seventh index from 7 on fails at once,
+  // so at several threads a later index fails first in time. parallel_for
+  // must still rethrow index 5's own exception — what the serial loop
+  // throws — and the indices that ran must be a prefix of the range.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    const std::size_t n = 200;
+    std::vector<std::atomic<int>> ran(n);
+    try {
+      pool.parallel_for(0, n, [&](std::size_t i, std::size_t) {
+        ran[i].store(1, std::memory_order_relaxed);
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw ItemError(i);
+        }
+        if (i >= 7 && i % 7 == 0) throw ItemError(i);
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const ItemError& e) {
+      EXPECT_EQ(e.index, 5u) << threads << " threads";
+    }
+    std::size_t prefix = 0;
+    while (prefix < n && ran[prefix].load() == 1) ++prefix;
+    EXPECT_GE(prefix, 6u) << threads << " threads";
+    for (std::size_t i = prefix; i < n; ++i) {
+      EXPECT_EQ(ran[i].load(), 0) << i << " ran past the prefix at "
+                                  << threads << " threads";
+    }
+  }
 }
 
 TEST(ThreadPool, ManySmallJobsStress) {

@@ -499,16 +499,16 @@ struct FakeArgv {
 };
 
 TEST(Cli, TakeHelpersConsumeFlags) {
-  FakeArgv a({"bench", "--checkpoint", "ck.bin", "--retries=2",
+  FakeArgv a({"bench", "--checkpoint", "ck.bin", "--kill-after=2",
               "out.json"});
   int argc = a.argc;
   char** argv = a.argv();
   const auto ck = take_option(argc, argv, "--checkpoint");
   ASSERT_TRUE(ck.has_value());
   EXPECT_EQ(*ck, "ck.bin");
-  const auto retries = take_size_option(argc, argv, "--retries");
-  ASSERT_TRUE(retries.has_value());
-  EXPECT_EQ(*retries, 2u);
+  const auto kill_after = take_size_option(argc, argv, "--kill-after");
+  ASSERT_TRUE(kill_after.has_value());
+  EXPECT_EQ(*kill_after, 2u);
   EXPECT_FALSE(take_double_option(argc, argv, "--watchdog").has_value());
   EXPECT_NO_THROW(reject_unknown_flags(argc, argv));
   ASSERT_EQ(argc, 2);
@@ -517,9 +517,10 @@ TEST(Cli, TakeHelpersConsumeFlags) {
 
 TEST(Cli, MalformedInputThrowsUsageError) {
   {
-    FakeArgv a({"bench", "--retries", "soon"});
+    FakeArgv a({"bench", "--kill-after", "soon"});
     int argc = a.argc;
-    EXPECT_THROW(take_size_option(argc, a.argv(), "--retries"), UsageError);
+    EXPECT_THROW(take_size_option(argc, a.argv(), "--kill-after"),
+                 UsageError);
   }
   {
     FakeArgv a({"bench", "--watchdog"});  // missing value
